@@ -59,22 +59,99 @@ func (e *AccessError) Error() string {
 // Memory is one node's simulated physical memory plus its MR table and
 // a bump allocator. Address 0 is reserved as invalid; allocations start
 // at one page.
+//
+// Memory is page-lazy: it is held as pageSize-byte pages that stay nil
+// until first written, and a nil page reads as zeros. The configured
+// size is a bound on addresses, not an up-front allocation.
 type Memory struct {
-	buf     []byte
+	dir     []*chunk // chunkPages pages per entry; nil until first written
+	size    uint64
 	regions []*Region
 	nextKey uint32
 	next    uint64 // bump allocator cursor
 }
 
-const pageSize = 4096
+const (
+	pageShift  = 12
+	pageSize   = 1 << pageShift
+	chunkShift = 9 // log2 of pages per directory chunk (2 MiB of memory)
+	chunkPages = 1 << chunkShift
+	chunkBytes = pageSize * chunkPages
+)
+
+type page [pageSize]byte
+
+type chunk [chunkPages]*page
+
+// zeroPage is what copyOut reads for a page never written.
+var zeroPage page
 
 // New returns a memory of the given size in bytes.
 func New(size uint64) *Memory {
-	return &Memory{buf: make([]byte, size), nextKey: 1, next: pageSize}
+	return &Memory{
+		dir:     make([]*chunk, (size+chunkBytes-1)/chunkBytes),
+		size:    size,
+		nextKey: 1,
+		next:    pageSize,
+	}
 }
 
 // Size returns total memory size in bytes.
-func (m *Memory) Size() uint64 { return uint64(len(m.buf)) }
+func (m *Memory) Size() uint64 { return m.size }
+
+// page returns the page holding addr, or nil when nothing has been
+// written to it yet. addr must be in bounds.
+func (m *Memory) page(addr uint64) *page {
+	c := m.dir[addr>>(pageShift+chunkShift)]
+	if c == nil {
+		return nil
+	}
+	return c[(addr>>pageShift)&(chunkPages-1)]
+}
+
+// writablePage returns the page holding addr, allocating it (zeroed)
+// on first use. addr must be in bounds.
+func (m *Memory) writablePage(addr uint64) *page {
+	ci := addr >> (pageShift + chunkShift)
+	c := m.dir[ci]
+	if c == nil {
+		c = new(chunk)
+		m.dir[ci] = c
+	}
+	pi := (addr >> pageShift) & (chunkPages - 1)
+	p := c[pi]
+	if p == nil {
+		p = new(page)
+		c[pi] = p
+	}
+	return p
+}
+
+// copyOut fills dst from memory at addr, one page at a time; untouched
+// pages read as zeros. The range must be in bounds.
+func (m *Memory) copyOut(addr uint64, dst []byte) {
+	for len(dst) > 0 {
+		off := addr & (pageSize - 1)
+		var n int
+		if p := m.page(addr); p != nil {
+			n = copy(dst, p[off:])
+		} else {
+			n = copy(dst, zeroPage[off:])
+		}
+		dst = dst[n:]
+		addr += uint64(n)
+	}
+}
+
+// copyIn writes src into memory at addr, one page at a time. The range
+// must be in bounds.
+func (m *Memory) copyIn(addr uint64, src []byte) {
+	for len(src) > 0 {
+		n := copy(m.writablePage(addr)[addr&(pageSize-1):], src)
+		src = src[n:]
+		addr += uint64(n)
+	}
+}
 
 // Alloc reserves size bytes with the given alignment (power of two, or
 // 0/1 for none) and returns the base address. It panics when memory is
@@ -85,8 +162,8 @@ func (m *Memory) Alloc(size, align uint64) uint64 {
 	}
 	base := m.next
 	m.next += size
-	if m.next > uint64(len(m.buf)) {
-		panic(fmt.Sprintf("mem: out of simulated memory (want %d more bytes of %d)", size, len(m.buf)))
+	if m.next > m.size {
+		panic(fmt.Sprintf("mem: out of simulated memory (want %d more bytes of %d)", size, m.size))
 	}
 	return base
 }
@@ -94,7 +171,7 @@ func (m *Memory) Alloc(size, align uint64) uint64 {
 // Register registers [base, base+n) as an MR with the given permissions
 // and returns it. Registration never fails for in-bounds ranges.
 func (m *Memory) Register(base, n uint64, perm Perm) (*Region, error) {
-	if base+n < base || base+n > uint64(len(m.buf)) {
+	if base+n < base || base+n > m.size {
 		return nil, &AccessError{Addr: base, Len: n, Op: "register", Why: "out of bounds"}
 	}
 	r := &Region{Base: base, Len: n, LKey: m.nextKey, RKey: m.nextKey | 0x80000000, Perm: perm}
@@ -153,7 +230,7 @@ func (m *Memory) bounds(addr, n uint64, op string) error {
 	if addr == 0 {
 		return &AccessError{Addr: addr, Len: n, Op: op, Why: "nil address"}
 	}
-	if addr+n < addr || addr+n > uint64(len(m.buf)) {
+	if addr+n < addr || addr+n > m.size {
 		return &AccessError{Addr: addr, Len: n, Op: op, Why: "out of bounds"}
 	}
 	return nil
@@ -165,7 +242,7 @@ func (m *Memory) Read(addr, n uint64) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
-	copy(out, m.buf[addr:addr+n])
+	m.copyOut(addr, out)
 	return out, nil
 }
 
@@ -175,7 +252,7 @@ func (m *Memory) ReadInto(addr uint64, dst []byte) error {
 	if err := m.bounds(addr, n, "read"); err != nil {
 		return err
 	}
-	copy(dst, m.buf[addr:addr+n])
+	m.copyOut(addr, dst)
 	return nil
 }
 
@@ -185,7 +262,7 @@ func (m *Memory) Write(addr uint64, src []byte) error {
 	if err := m.bounds(addr, n, "write"); err != nil {
 		return err
 	}
-	copy(m.buf[addr:addr+n], src)
+	m.copyIn(addr, src)
 	return nil
 }
 
@@ -194,7 +271,15 @@ func (m *Memory) U64(addr uint64) (uint64, error) {
 	if err := m.bounds(addr, 8, "read"); err != nil {
 		return 0, err
 	}
-	return binary.BigEndian.Uint64(m.buf[addr : addr+8]), nil
+	if off := addr & (pageSize - 1); off <= pageSize-8 {
+		if p := m.page(addr); p != nil {
+			return binary.BigEndian.Uint64(p[off:]), nil
+		}
+		return 0, nil
+	}
+	var b [8]byte
+	m.copyOut(addr, b[:])
+	return binary.BigEndian.Uint64(b[:]), nil
 }
 
 // PutU64 writes a big-endian uint64 at addr.
@@ -202,7 +287,13 @@ func (m *Memory) PutU64(addr uint64, v uint64) error {
 	if err := m.bounds(addr, 8, "write"); err != nil {
 		return err
 	}
-	binary.BigEndian.PutUint64(m.buf[addr:addr+8], v)
+	if off := addr & (pageSize - 1); off <= pageSize-8 {
+		binary.BigEndian.PutUint64(m.writablePage(addr)[off:], v)
+		return nil
+	}
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	m.copyIn(addr, b[:])
 	return nil
 }
 
@@ -263,8 +354,3 @@ func (m *Memory) Min(addr, v uint64) (uint64, error) {
 	}
 	return cur, nil
 }
-
-// Raw exposes the underlying buffer for zero-copy substrate code (hash
-// tables laying out buckets). Offload programs must go through the
-// accessors; Raw is for data-structure setup only.
-func (m *Memory) Raw() []byte { return m.buf }

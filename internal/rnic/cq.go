@@ -63,6 +63,8 @@ type CQ struct {
 	entries   []CQE // delivered, not yet polled
 	onDeliver []func(CQE)
 	autoDrain bool
+
+	advanceFn func() // advance, bound once at construction
 }
 
 type cqWaiter struct {

@@ -32,8 +32,11 @@ func (p *Port) Link() *sim.Bandwidth { return p.link }
 
 // Device is one simulated RNIC attached to a node's memory.
 type Device struct {
-	eng  *sim.Engine
-	mem  *mem.Memory
+	eng *sim.Engine
+	mem *mem.Memory
+	// prof never changes after New. The exec paths read it through
+	// &d.prof: closures that captured a copy would each move the whole
+	// Profile to the heap.
 	prof Profile
 
 	ports []*Port
@@ -110,6 +113,7 @@ func (d *Device) AtomicUnit() *sim.Resource { return d.atomicUnit }
 // NewCQ creates a completion queue.
 func (d *Device) NewCQ() *CQ {
 	c := &CQ{dev: d, cqn: uint32(len(d.cqs))}
+	c.advanceFn = c.advance
 	d.cqs = append(d.cqs, c)
 	return c
 }
@@ -161,6 +165,9 @@ func (d *Device) NewQP(cfg QPConfig) *QP {
 	rqBase := d.mem.Alloc(uint64(cfg.RQDepth)*64, 64)
 	q.sq = &WorkQueue{qp: q, base: sqBase, capacity: uint64(cfg.SQDepth), managed: cfg.Managed,
 		lastFetchDone: -(1 << 60)} // pipeline starts cold
+	sq := q.sq
+	sq.stepFn, sq.advanceFn, sq.kickFn, sq.fetchedFn = sq.step, sq.advance, sq.kick, sq.fetched
+	sq.syncRunFn, sq.syncDoneFn = sq.syncRun, sq.syncDone
 	q.rq = &recvQueue{qp: q, base: rqBase, capacity: uint64(cfg.RQDepth)}
 	d.qps = append(d.qps, q)
 	return q

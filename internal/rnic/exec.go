@@ -11,7 +11,7 @@ func (w *WorkQueue) kick() {
 		return
 	}
 	w.active = true
-	w.qp.dev.eng.After(0, w.step)
+	w.qp.dev.eng.After(0, w.stepFn)
 }
 
 // bound returns the absolute index below which execution may proceed.
@@ -44,7 +44,7 @@ func (w *WorkQueue) step() {
 		t := w.qp.limiter.Admit()
 		w.admitted = true
 		if t > dev.eng.Now() {
-			dev.eng.At(t, w.step)
+			dev.eng.At(t, w.stepFn)
 			return
 		}
 	}
@@ -63,23 +63,29 @@ func (w *WorkQueue) step() {
 // doorbell-ordered self-modifying code depends on.
 func (w *WorkQueue) fetchManagedAndExec() {
 	dev := w.qp.dev
-	idx := w.consumer
 	fs, end := w.qp.port.fetchUnit.Acquire(dev.prof.FetchManaged)
 	w.qp.grant(dev, w.qp.port.fetchUnit, dev.eng.Now(), fs, end)
-	dev.eng.At(end, func() {
-		if w.errored || dev.frozen {
-			w.active = false
-			return
-		}
-		var snap wqe.WQE
-		var buf [wqe.Size]byte
-		if err := dev.mem.ReadInto(w.SlotAddr(idx), buf[:]); err != nil {
-			w.fail(idx, wqe.WQE{}, StatusLocalProtErr)
-			return
-		}
-		snap.Decode(buf[:])
-		w.exec(idx, snap)
-	})
+	dev.eng.At(end, w.fetchedFn)
+}
+
+// fetched snapshots and executes the WQE a managed fetch just
+// delivered. It is the WQE at the consumer index: the step loop is the
+// only thing that advances the consumer, and it waits for this fetch.
+func (w *WorkQueue) fetched() {
+	dev := w.qp.dev
+	if w.errored || dev.frozen {
+		w.active = false
+		return
+	}
+	idx := w.consumer
+	var snap wqe.WQE
+	var buf [wqe.Size]byte
+	if err := dev.mem.ReadInto(w.SlotAddr(idx), buf[:]); err != nil {
+		w.fail(idx, wqe.WQE{}, StatusLocalProtErr)
+		return
+	}
+	snap.Decode(buf[:])
+	w.exec(idx, snap)
 }
 
 // fetchStreamAndExec services unmanaged queues: the NIC prefetches
@@ -120,10 +126,11 @@ func (w *WorkQueue) fetchStreamAndExec() {
 	}
 	next := w.buf[0]
 	if next.ready > now {
-		dev.eng.At(next.ready, w.step)
+		dev.eng.At(next.ready, w.stepFn)
 		return
 	}
-	w.buf = w.buf[1:]
+	// Shift down rather than reslice, so the window reuses one array.
+	w.buf = append(w.buf[:0], w.buf[1:]...)
 	w.exec(next.idx, next.w)
 }
 
@@ -132,7 +139,7 @@ func (w *WorkQueue) advance() {
 	w.consumer++
 	w.executed++
 	w.admitted = false
-	w.qp.dev.eng.After(0, w.step)
+	w.qp.dev.eng.After(0, w.stepFn)
 }
 
 // fail completes a WQE with an error status and freezes the queue,
@@ -155,10 +162,13 @@ func (w *WorkQueue) complete(v wqe.WQE, st Status, force bool) {
 	}
 	dev := w.qp.dev
 	cq := w.qp.scq
-	dev.eng.After(dev.prof.CQInternal, cq.advance)
+	dev.eng.After(dev.prof.CQInternal, cq.advanceFn)
+	// Capture the CQE's fields, not v: a closure over the whole WQE
+	// moves it to the heap on every call, signaled or not.
+	id, op, n := v.ID, v.Op, v.Len
 	dev.eng.After(dev.prof.CQEDeliver, func() {
 		now := dev.eng.Now()
-		cq.deliver(CQE{WRID: v.ID, QPN: w.qp.qpn, Op: v.Op, Status: st, Len: v.Len, At: now,
+		cq.deliver(CQE{WRID: id, QPN: w.qp.qpn, Op: op, Status: st, Len: n, At: now,
 			Backlog: dev.BacklogWatermark(now)})
 	})
 }
@@ -203,48 +213,34 @@ func (w *WorkQueue) puSpan(op wqe.Opcode, start, end sim.Time) {
 // WAIT provides completion ordering when programs need it.
 func (w *WorkQueue) exec(idx uint64, v wqe.WQE) {
 	dev := w.qp.dev
-	prof := dev.prof
+	prof := &dev.prof
 	switch v.Op {
 	case wqe.OpNoop:
 		// NOOPs never touch the wire; they complete locally.
 		start, end := w.qp.pu.Acquire(prof.NoopOccupancy)
 		w.puSpan(v.Op, start, end)
-		dev.eng.At(end, func() {
-			w.complete(v, StatusOK, false)
-			w.advance()
-		})
+		w.sync = v
+		dev.eng.At(end, w.syncRunFn)
 
 	case wqe.OpWait:
-		cq := dev.CQByNum(v.Peer)
-		if cq == nil {
+		if dev.CQByNum(v.Peer) == nil {
 			w.fail(idx, v, StatusBadOpcode)
 			return
 		}
 		start, end := w.qp.pu.Acquire(prof.SyncOccupancy)
 		w.puSpan(v.Op, start, end)
-		dev.eng.At(end, func() {
-			cq.waitFor(v.Count, func() {
-				w.complete(v, StatusOK, false)
-				w.advance()
-			})
-		})
+		w.sync = v
+		dev.eng.At(end, w.syncRunFn)
 
 	case wqe.OpEnable:
-		target := dev.QPByNum(v.Peer)
-		if target == nil {
+		if dev.QPByNum(v.Peer) == nil {
 			w.fail(idx, v, StatusBadOpcode)
 			return
 		}
 		start, end := w.qp.pu.Acquire(prof.SyncOccupancy)
 		w.puSpan(v.Op, start, end)
-		dev.eng.At(end, func() {
-			if v.Count > target.sq.fetchLimit {
-				target.sq.fetchLimit = v.Count
-			}
-			target.sq.kick()
-			w.complete(v, StatusOK, false)
-			w.advance()
-		})
+		w.sync = v
+		dev.eng.At(end, w.syncRunFn)
 
 	case wqe.OpWrite, wqe.OpWriteImm:
 		w.execWrite(idx, v)
@@ -262,6 +258,31 @@ func (w *WorkQueue) exec(idx uint64, v wqe.WQE) {
 		// OpRecv in a send queue, or garbage written over an opcode.
 		w.fail(idx, v, StatusBadOpcode)
 	}
+}
+
+// syncRun runs when the PU occupancy of the NOOP, WAIT or ENABLE
+// in w.sync ends. A queue has at most one in flight: it does not
+// advance past one until syncDone.
+func (w *WorkQueue) syncRun() {
+	v := &w.sync
+	switch v.Op {
+	case wqe.OpWait:
+		w.qp.dev.CQByNum(v.Peer).waitFor(v.Count, w.syncDoneFn)
+		return
+	case wqe.OpEnable:
+		target := w.qp.dev.QPByNum(v.Peer)
+		if v.Count > target.sq.fetchLimit {
+			target.sq.fetchLimit = v.Count
+		}
+		target.sq.kick()
+	}
+	w.syncDone()
+}
+
+// syncDone completes the sync verb in w.sync and moves the queue on.
+func (w *WorkQueue) syncDone() {
+	w.complete(w.sync, StatusOK, false)
+	w.advance()
 }
 
 // remoteDev returns the device owning the memory this QP's one-sided
@@ -287,18 +308,20 @@ func (q *QP) wireDelay(t sim.Time, n int) sim.Time {
 
 func (w *WorkQueue) execWrite(idx uint64, v wqe.WQE) {
 	dev := w.qp.dev
-	prof := dev.prof
+	prof := &dev.prof
 	rdev := w.qp.remoteDev()
 	n := int(v.Len)
 
 	start, end := w.qp.pu.Acquire(prof.CopyOccupancy)
 	w.puSpan(v.Op, start, end)
-	dev.eng.At(end, w.advance)
+	dev.eng.At(end, w.advanceFn)
 
 	// Gather payload at the requester.
 	var payload []byte
 	t := end
-	if v.Inline() {
+	// Test the flag, not v.Inline(): a method call takes v's address,
+	// and the closures below would then move v to the heap.
+	if v.Flags&wqe.FlagInline != 0 {
 		if n > 8 {
 			n = 8
 		}
@@ -338,13 +361,13 @@ func (w *WorkQueue) execWrite(idx uint64, v wqe.WQE) {
 
 func (w *WorkQueue) execRead(idx uint64, v wqe.WQE) {
 	dev := w.qp.dev
-	prof := dev.prof
+	prof := &dev.prof
 	rdev := w.qp.remoteDev()
 	n := int(v.Len)
 
 	start, end := w.qp.pu.Acquire(prof.CopyOccupancy)
 	w.puSpan(v.Op, start, end)
-	dev.eng.At(end, w.advance)
+	dev.eng.At(end, w.advanceFn)
 
 	// Request travels to the responder (header only).
 	t := end + w.qp.oneWay
@@ -405,7 +428,7 @@ func (w *WorkQueue) execRead(idx uint64, v wqe.WQE) {
 
 func (w *WorkQueue) execAtomic(idx uint64, v wqe.WQE) {
 	dev := w.qp.dev
-	prof := dev.prof
+	prof := &dev.prof
 	rdev := w.qp.remoteDev()
 
 	// True atomics (CAS/ADD) hold their PU for the long AtomicOccupancy
@@ -420,7 +443,7 @@ func (w *WorkQueue) execAtomic(idx uint64, v wqe.WQE) {
 	start, end := w.qp.pu.Acquire(occ)
 	w.puSpan(v.Op, start, end)
 	issue := start + prof.CopyOccupancy
-	dev.eng.At(end, w.advance)
+	dev.eng.At(end, w.advanceFn)
 
 	t := issue + w.qp.oneWay
 	dev.eng.At(t, func() {
@@ -476,7 +499,7 @@ type arrival struct {
 
 func (w *WorkQueue) execSend(idx uint64, v wqe.WQE) {
 	dev := w.qp.dev
-	prof := dev.prof
+	prof := &dev.prof
 	peer := w.qp.remote
 	if peer == nil {
 		w.fail(idx, v, StatusBadOpcode)
@@ -486,11 +509,11 @@ func (w *WorkQueue) execSend(idx uint64, v wqe.WQE) {
 
 	start, end := w.qp.pu.Acquire(prof.CopyOccupancy)
 	w.puSpan(v.Op, start, end)
-	dev.eng.At(end, w.advance)
+	dev.eng.At(end, w.advanceFn)
 
 	t := end
 	var payload []byte
-	if v.Inline() {
+	if v.Flags&wqe.FlagInline != 0 { // not v.Inline(): see execWrite
 		tmp := wqe.WQE{Cmp: v.Cmp}
 		full := tmp.Bytes()
 		if n > 8 {
@@ -545,7 +568,7 @@ func (q *QP) handleArrival(a arrival) {
 
 func (q *QP) consumeRecv(a arrival) {
 	dev := q.dev
-	prof := dev.prof
+	prof := &dev.prof
 	idx := q.rq.consumer
 	q.rq.consumer++
 
@@ -559,6 +582,7 @@ func (q *QP) consumeRecv(a arrival) {
 		}
 		var r wqe.WQE
 		r.Decode(buf[:])
+		signaled, id := r.Signaled(), r.ID // the closure below captures these, not r
 
 		// Scatter the payload.
 		nEntries := int(r.Len)
@@ -591,10 +615,10 @@ func (q *QP) consumeRecv(a arrival) {
 			// Receive completion: internal counter for WAIT triggers,
 			// then host-visible CQE.
 			cq := q.rcq
-			dev.eng.After(prof.CQInternal, cq.advance)
-			if r.Signaled() {
+			dev.eng.After(prof.CQInternal, cq.advanceFn)
+			if signaled {
 				dev.eng.After(prof.CQEDeliver, func() {
-					cq.deliver(CQE{WRID: r.ID, QPN: q.qpn, Op: wqe.OpRecv, Status: StatusOK,
+					cq.deliver(CQE{WRID: id, QPN: q.qpn, Op: wqe.OpRecv, Status: StatusOK,
 						Len: uint64(len(a.payload)), At: dev.eng.Now()})
 				})
 			}

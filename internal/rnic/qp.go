@@ -127,7 +127,7 @@ func (q *QP) PostSend(w wqe.WQE) uint64 {
 // RingSQ rings the doorbell: after the MMIO delay the NIC begins (or
 // continues) consuming posted SQ WQEs.
 func (q *QP) RingSQ() {
-	q.dev.eng.After(q.dev.prof.Doorbell, q.sq.kick)
+	q.dev.eng.After(q.dev.prof.Doorbell, q.sq.kickFn)
 }
 
 // EnableSQFromHost raises a managed SQ's fetch limit from host software
@@ -215,6 +215,13 @@ type WorkQueue struct {
 	admitted bool // rate-limiter token already consumed for next WQE
 
 	executed uint64 // total WQEs executed (stats)
+
+	// sync is the NOOP, WAIT or ENABLE executing (see syncRun).
+	sync wqe.WQE
+
+	// The continuations the step loop schedules, bound once at
+	// construction so scheduling them never allocates a method value.
+	stepFn, advanceFn, kickFn, fetchedFn, syncRunFn, syncDoneFn func()
 }
 
 type fetchedWQE struct {

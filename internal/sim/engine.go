@@ -5,10 +5,7 @@
 // experiment in the paper reproduces bit-for-bit on every run.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is virtual time in nanoseconds since the start of the simulation.
 type Time int64
@@ -45,23 +42,60 @@ type event struct {
 	fn  func()
 }
 
+// eventHeap is a binary min-heap of events on the (at, seq) total
+// order. Events are stored by value, so pushing and popping never box
+// them; because (at, seq) is a total order, any correct priority queue
+// pops the same sequence.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the minimum event. The vacated tail slot is
+// zeroed so the backing array does not keep the callback reachable.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = event{}
+	q = q[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && q.less(r, l) {
+			m = r
+		}
+		if !q.less(m, i) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
 }
 
 // Engine is a single-threaded discrete-event scheduler. Events run in
@@ -77,11 +111,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	heap.Init(&e.events)
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -93,7 +123,7 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -103,7 +133,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 func (e *Engine) Run() {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		e.now = ev.at
 		e.executed++
 		ev.fn()
@@ -119,7 +149,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		if e.events[0].at > deadline {
 			break
 		}
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		e.now = ev.at
 		e.executed++
 		ev.fn()
