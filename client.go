@@ -92,9 +92,9 @@ type Client struct {
 	tb    *Testbed
 	node  *fabric.Node
 	pool  *core.LookupPool
-	spool *core.SetPool
+	spool core.Pool[*core.SetOffload]
 	dpool *core.DeletePool
-	ppool *core.ProbePool
+	ppool core.Pool[*core.ProbeOffload]
 	table *HashTable
 	arena *extent.Arena // server arena freed extents return to
 
@@ -112,11 +112,12 @@ type Client struct {
 	get, set, del, prb *opPipeline
 	pipes              [4]*opPipeline
 
-	// Per-slot buffers, per path.
-	trig, resp        []uint64 // get: trigger + response
-	strig, sval, sack []uint64 // set: trigger + value staging + ack
-	dtrig, dack       []uint64 // delete: trigger + ack
-	ptrig, presp      []uint64 // probe: trigger + version landing
+	// Per-slot landing buffers, per path (trigger buffers live on the
+	// pipelines).
+	resp       []uint64 // get: response
+	sval, sack []uint64 // set: value staging + ack
+	dack       []uint64 // delete: ack
+	presp      []uint64 // probe: version landing
 
 	// prevVal tracks, per key, the extent the bucket held after this
 	// client's last acknowledged standalone set — freed exactly once
@@ -254,8 +255,9 @@ type opPipeline struct {
 	name string // trace names: "get", "set", "del", "probe"
 
 	depth   int
-	respPer uint64 // signaled response completions per executed instance
-	qp      *rnic.QP
+	respPer uint64   // signaled response completions per executed instance
+	qp      *rnic.QP // client side of the trigger connection
+	trig    []uint64 // per-slot trigger payload buffers
 
 	free    []int
 	slots   []*pipeReq // in-flight request per slot (nil = free)
@@ -677,16 +679,6 @@ func (t *Testbed) NewPipelinedClient(srv *Server, mode LookupMode, depth int) *C
 // extents this connection's writes stage into; nil reproduces the
 // leak-forever bump allocator.
 func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode, depth int, maxVal uint64, arena *extent.Arena) *Client {
-	// Trigger connections: client SQ paces SENDs, server RQ holds one
-	// pre-posted RECV per armed instance.
-	srvRQ := 2048
-	if d := 4 * depth; d > srvRQ {
-		srvRQ = d
-	}
-	cliSQ := 1024
-	if d := 4 * depth; d > cliSQ {
-		cliSQ = d
-	}
 	c := &Client{tb: t, node: node,
 		MissTimeout: DefaultMissTimeout,
 		depth:       depth,
@@ -702,134 +694,103 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 	c.prb = newPipeline(c, OpProbe, "probe", depth)
 	c.pipes = [4]*opPipeline{c.get, c.set, c.del, c.prb}
 
-	// ---- get path ----
-	cliQP, srvQP := t.clu.Connect(node, srv.node,
-		rnic.QPConfig{SQDepth: cliSQ, RQDepth: 8},
-		rnic.QPConfig{SQDepth: 64, RQDepth: srvRQ, Managed: true})
-	c.get.qp = cliQP
-	c.get.respPer = 2 // seq probes two buckets, parallel answers on two QPs
-	if mode == LookupSingle {
-		c.get.respPer = 1
+	// Each path has its own connection, so each trigger RQ's arrival
+	// counter sequences one path independently. Gets: seq probes two
+	// buckets, parallel answers on a second response QP per slot.
+	nResp := 1
+	switch mode {
+	case LookupSeq:
+		c.get.respPer = 2
+	case LookupParallel:
+		c.get.respPer, nResp = 2, 2
 	}
-	// Per-slot buffers and per-context response QPs.
-	resp := make([]*rnic.QP, depth)
-	var resp2 []*rnic.QP
-	if mode == LookupParallel {
-		resp2 = make([]*rnic.QP, depth)
-	}
-	for i := 0; i < depth; i++ {
-		c.trig = append(c.trig, node.Mem.Alloc(128, 8))
+	srvQP, resp := c.connect(c.get, srv, 128, nResp, func() {
 		c.resp = append(c.resp, node.Mem.Alloc(maxVal, 64))
-		_, resp[i] = t.clu.Connect(node, srv.node,
-			rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-			rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
-		if resp2 != nil {
-			_, resp2[i] = t.clu.Connect(node, srv.node,
-				rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
-		}
-	}
-	c.pool = core.NewLookupPool(srv.builder, srvQP, resp, resp2, nil, mode)
-	srvQP.RecvCQ().SetAutoDrain(true)
-	srvQP.SendCQ().SetAutoDrain(true)
-	for i, ctx := range c.pool.Ctxs {
-		c.get.subscribe(i, ctx.Resp)
-		if resp2 != nil {
-			c.get.subscribe(i, resp2[i])
-		}
-	}
+	})
+	c.pool = core.NewLookupPool(srv.builder, srvQP, resp[0], resp[1], nil, mode)
+	c.pool.SetProfClass(c.get.name)
 
-	// Write path: a second connection with its own trigger RQ (so set
-	// and get arrival counters sequence independently), per-slot ack
-	// QPs, and a pool of set contexts.
-	cliSetQP, srvSetQP := t.clu.Connect(node, srv.node,
-		rnic.QPConfig{SQDepth: cliSQ, RQDepth: 8},
-		rnic.QPConfig{SQDepth: 64, RQDepth: srvRQ, Managed: true})
-	c.set.qp = cliSetQP
-	srvSetQP.RecvCQ().SetAutoDrain(true)
-	srvSetQP.SendCQ().SetAutoDrain(true)
-	sresp := make([]*rnic.QP, depth)
-	for i := 0; i < depth; i++ {
-		c.strig = append(c.strig, node.Mem.Alloc(128, 8))
+	srvQP, resp = c.connect(c.set, srv, 128, 1, func() {
 		c.sval = append(c.sval, node.Mem.Alloc(maxVal, 64))
 		c.sack = append(c.sack, node.Mem.Alloc(8, 8))
-		_, sresp[i] = t.clu.Connect(node, srv.node,
-			rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-			rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
-	}
-	c.spool = core.NewSetPool(srv.builder, srvSetQP, sresp, maxVal, c.arena)
-	for i := range c.spool.Ctxs {
-		c.set.subscribe(i, sresp[i])
-	}
+	})
+	c.spool = core.NewPool(srv.builder, srvQP, resp[0], func(_ int, cb *core.Builder, trig, r *rnic.QP) *core.SetOffload {
+		return core.NewSetOffload(cb, trig, r, maxVal, c.arena)
+	})
+	c.spool.SetProfClass(c.set.name)
 
-	// Delete path: a third connection with its own trigger RQ (arrival
-	// counters sequence each path independently), per-slot ack QPs, and
-	// a pool of delete contexts over a shared to-free ring.
-	cliDelQP, srvDelQP := t.clu.Connect(node, srv.node,
-		rnic.QPConfig{SQDepth: cliSQ, RQDepth: 8},
-		rnic.QPConfig{SQDepth: 64, RQDepth: srvRQ, Managed: true})
-	c.del.qp = cliDelQP
-	srvDelQP.RecvCQ().SetAutoDrain(true)
-	srvDelQP.SendCQ().SetAutoDrain(true)
-	dresp := make([]*rnic.QP, depth)
-	for i := 0; i < depth; i++ {
-		c.dtrig = append(c.dtrig, node.Mem.Alloc(128, 8))
+	// Deletes share one to-free ring across the pool's contexts.
+	srvQP, resp = c.connect(c.del, srv, 128, 1, func() {
 		c.dack = append(c.dack, node.Mem.Alloc(8, 8))
-		_, dresp[i] = t.clu.Connect(node, srv.node,
-			rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-			rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
-	}
-	c.dpool = core.NewDeletePool(srv.builder, srvDelQP, dresp)
-	for i := range c.dpool.Ctxs {
-		c.del.subscribe(i, dresp[i])
-	}
+	})
+	c.dpool = core.NewDeletePool(srv.builder, srvQP, resp[0])
+	c.dpool.SetProfClass(c.del.name)
 
-	// Probe path: a fourth connection with its own trigger RQ, per-slot
-	// response QPs, and a pool of version-probe contexts — the repair
-	// subsystem's version interrogation (see internal/core/probe.go).
-	cliPrbQP, srvPrbQP := t.clu.Connect(node, srv.node,
-		rnic.QPConfig{SQDepth: cliSQ, RQDepth: 8},
-		rnic.QPConfig{SQDepth: 64, RQDepth: srvRQ, Managed: true})
-	c.prb.qp = cliPrbQP
-	srvPrbQP.RecvCQ().SetAutoDrain(true)
-	srvPrbQP.SendCQ().SetAutoDrain(true)
-	presp := make([]*rnic.QP, depth)
-	for i := 0; i < depth; i++ {
-		c.ptrig = append(c.ptrig, node.Mem.Alloc(64, 8))
+	// Probes are the repair subsystem's version interrogation (see
+	// internal/core/probe.go).
+	srvQP, resp = c.connect(c.prb, srv, 64, 1, func() {
 		c.presp = append(c.presp, node.Mem.Alloc(8, 8))
-		_, presp[i] = t.clu.Connect(node, srv.node,
-			rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-			rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
-	}
-	c.ppool = core.NewProbePool(srv.builder, srvPrbQP, presp)
-	for i := range c.ppool.Ctxs {
-		c.prb.subscribe(i, presp[i])
-	}
-
-	// Profiler attribution: each pool's contexts (and their shared
-	// trigger QP) serve exactly one op class, so the tagging is static.
-	// The client-side trigger QPs execute the staging WRITEs and SENDs
-	// whose remote grants (server PCIe) should attribute to the class
-	// too. Costs nothing until a Device has a profiler attached.
-	for _, ctx := range c.pool.Ctxs {
-		ctx.SetProfClass("get")
-	}
-	for _, ctx := range c.spool.Ctxs {
-		ctx.SetProfClass("set")
-	}
-	for _, ctx := range c.dpool.Ctxs {
-		ctx.SetProfClass("del")
-	}
-	for _, ctx := range c.ppool.Ctxs {
-		ctx.SetProfClass("probe")
-	}
-	cliQP.SetProfClass("get")
-	cliSetQP.SetProfClass("set")
-	cliDelQP.SetProfClass("del")
-	cliPrbQP.SetProfClass("probe")
+	})
+	c.ppool = core.NewPool(srv.builder, srvQP, resp[0], func(_ int, cb *core.Builder, trig, r *rnic.QP) *core.ProbeOffload {
+		return core.NewProbeOffload(cb, trig, r)
+	})
+	c.ppool.SetProfClass(c.prb.name)
 
 	c.wireHooks()
 	return c
+}
+
+// connect opens p's connections to srv, in the order that fixes QPNs and
+// addresses: the trigger connection — client SQ paces SENDs, server RQ
+// holds one pre-posted RECV per armed instance — then, per slot, a
+// trigger buffer of trigLen bytes, the landing buffers alloc carves, and
+// nResp (1 or 2) response connections, each subscribed to p's
+// demultiplexer. It returns the server side of the trigger connection
+// and the server-side response QPs, resp[j][slot]. Profiler attribution is static: the
+// client-side trigger QP executes the WRITEs and SENDs whose remote
+// grants (server PCIe) attribute to p's op class.
+func (c *Client) connect(p *opPipeline, srv *Server, trigLen uint64, nResp int, alloc func()) (*rnic.QP, [2][]*rnic.QP) {
+	cliQP, srvQP := c.tb.clu.Connect(c.node, srv.node,
+		rnic.QPConfig{SQDepth: max(1024, 4*c.depth), RQDepth: 8},
+		rnic.QPConfig{SQDepth: 64, RQDepth: max(2048, 4*c.depth), Managed: true})
+	p.qp = cliQP
+	cliQP.SetProfClass(p.name)
+	srvQP.RecvCQ().SetAutoDrain(true)
+	srvQP.SendCQ().SetAutoDrain(true)
+	var resp [2][]*rnic.QP
+	for j := 0; j < nResp; j++ {
+		resp[j] = make([]*rnic.QP, c.depth)
+	}
+	for i := 0; i < c.depth; i++ {
+		p.trig = append(p.trig, c.node.Mem.Alloc(trigLen, 8))
+		alloc()
+		for j := 0; j < nResp; j++ {
+			_, resp[j][i] = c.tb.clu.Connect(c.node, srv.node,
+				rnic.QPConfig{SQDepth: 8, RQDepth: 8},
+				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
+			p.subscribe(i, resp[j][i])
+		}
+	}
+	return srvQP, resp
+}
+
+// tag is the prologue every post hook shares: point the slot's context
+// at the request's trace op and latency receipt, so the instance armed
+// next attributes to it.
+func (p *opPipeline) tag(req *pipeReq, ctx core.Context) {
+	if p.c.tr.Enabled() {
+		ctx.SetTraceOp(req.op)
+	}
+	if p.rcpts != nil {
+		ctx.SetReceipt(&p.rcpts[req.slot])
+	}
+}
+
+// trigger lands payload in the slot's trigger buffer and posts the SEND
+// that scatters it into the armed chain (doorbell-less; Flush kicks it).
+func (p *opPipeline) trigger(slot int, payload []byte) {
+	p.c.node.Mem.Write(p.trig[slot], payload)
+	p.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: p.trig[slot], Len: uint64(len(payload))})
 }
 
 // wireHooks installs the per-op closures: WR construction on issue,
@@ -838,18 +799,11 @@ func (c *Client) wireHooks() {
 	// ---- get ----
 	c.get.post = func(req *pipeReq) {
 		ctx := c.pool.Ctxs[req.slot]
-		if c.tr.Enabled() {
-			ctx.SetTraceOp(req.op)
-		}
-		if c.get.rcpts != nil {
-			ctx.SetReceipt(&c.get.rcpts[req.slot])
-		}
+		c.get.tag(req, ctx)
 		ctx.Arm()
-		payload := ctx.TriggerPayload(req.key, req.valLen, c.resp[req.slot])
-		c.node.Mem.Write(c.trig[req.slot], payload)
 		// Clear the response slot so misses are observable.
 		c.node.Mem.Write(c.resp[req.slot], c.zero[:req.valLen])
-		c.get.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: c.trig[req.slot], Len: uint64(len(payload))})
+		c.get.trigger(req.slot, ctx.TriggerPayload(req.key, req.valLen, c.resp[req.slot]))
 	}
 	c.get.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
 		if req.getCB == nil {
@@ -865,21 +819,14 @@ func (c *Client) wireHooks() {
 	// ---- set ----
 	c.set.post = func(req *pipeReq) {
 		ctx := c.spool.Ctxs[req.slot]
-		if c.tr.Enabled() {
-			ctx.SetTraceOp(req.op)
-		}
-		if c.set.rcpts != nil {
-			ctx.SetReceipt(&c.set.rcpts[req.slot])
-		}
+		c.set.tag(req, ctx)
 		req.staging = ctx.Arm(req.key)
 		c.node.Mem.Write(c.sval[req.slot], req.val)
-		payload := ctx.TriggerPayload(req.key, req.sclaim, uint64(len(req.val)), req.ver, c.sack[req.slot])
-		c.node.Mem.Write(c.strig[req.slot], payload)
 		// Same QP, in order: the value lands in staging before the
 		// trigger SEND fires the claim chain.
 		c.set.qp.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: c.sval[req.slot], Dst: req.staging,
 			Len: uint64(len(req.val))})
-		c.set.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: c.strig[req.slot], Len: uint64(len(payload))})
+		c.set.trigger(req.slot, ctx.TriggerPayload(req.key, req.sclaim, uint64(len(req.val)), req.ver, c.sack[req.slot]))
 	}
 	c.set.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
 		if req.ackCB != nil {
@@ -909,22 +856,11 @@ func (c *Client) wireHooks() {
 	// ---- delete ----
 	c.del.post = func(req *pipeReq) {
 		ctx := c.dpool.Ctxs[req.slot]
-		if c.tr.Enabled() {
-			ctx.SetTraceOp(req.op)
-		}
-		if c.del.rcpts != nil {
-			ctx.SetReceipt(&c.del.rcpts[req.slot])
-		}
+		c.del.tag(req, ctx)
 		ctx.Arm()
-		payload := ctx.TriggerPayload(req.key, req.dclaim, req.ver, c.dack[req.slot])
-		c.node.Mem.Write(c.dtrig[req.slot], payload)
-		c.del.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: c.dtrig[req.slot], Len: uint64(len(payload))})
+		c.del.trigger(req.slot, ctx.TriggerPayload(req.key, req.dclaim, req.ver, c.dack[req.slot]))
 	}
-	c.del.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
-		if req.ackCB != nil {
-			req.ackCB(lat, ok)
-		}
-	}
+	c.del.deliver = c.set.deliver
 	c.del.release = func(req *pipeReq, ok, executed bool) {
 		if ok {
 			// The unlink just retired the bucket's extent through the
@@ -942,17 +878,10 @@ func (c *Client) wireHooks() {
 	// ---- probe ----
 	c.prb.post = func(req *pipeReq) {
 		ctx := c.ppool.Ctxs[req.slot]
-		if c.tr.Enabled() {
-			ctx.SetTraceOp(req.op)
-		}
-		if c.prb.rcpts != nil {
-			ctx.SetReceipt(&c.prb.rcpts[req.slot])
-		}
+		c.prb.tag(req, ctx)
 		ctx.Arm()
-		payload := ctx.TriggerPayload(req.key, req.target, c.presp[req.slot])
-		c.node.Mem.Write(c.ptrig[req.slot], payload)
 		c.node.Mem.PutU64(c.presp[req.slot], 0)
-		c.prb.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: c.ptrig[req.slot], Len: uint64(len(payload))})
+		c.prb.trigger(req.slot, ctx.TriggerPayload(req.key, req.target, c.presp[req.slot]))
 	}
 	c.prb.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
 		if req.prbCB == nil {
@@ -1000,30 +929,12 @@ func (c *Client) PipelineStats(op Op) PipelineStats {
 	}
 }
 
-// LastMissExecuted reports whether the most recent miss's offload
-// chain executed on the server NIC (response NOOPs delivered — the key
-// is genuinely absent) as opposed to never running (dead connection).
-// Meaningful when read from within a miss callback.
-func (c *Client) LastMissExecuted() bool { return c.get.lastRan }
-
-// LastSetExecuted reports whether the most recent failed set's offload
-// chain executed on the server NIC (a genuine claim refusal — the
-// bucket was taken) as opposed to never running (dead connection).
-// Meaningful when read from within a failed-set callback.
-func (c *Client) LastSetExecuted() bool { return c.set.lastRan }
-
-// LastDeleteExecuted reports whether the most recent failed delete's
-// offload chain executed on the server NIC (a genuine claim refusal —
-// the key was absent or already tombstoned) as opposed to never
-// running (dead connection). Meaningful inside a failed-delete
-// callback.
-func (c *Client) LastDeleteExecuted() bool { return c.del.lastRan }
-
-// LastProbeExecuted reports whether the most recent failed probe's
-// offload chain executed on the server NIC (a genuine conditional miss
-// — the bucket does not hold the probed key) as opposed to never
-// running (dead connection). Meaningful inside a failed-probe callback.
-func (c *Client) LastProbeExecuted() bool { return c.prb.lastRan }
+// LastExecuted reports whether the most recent failed request on op's
+// pipeline had its offload chain execute on the server NIC — a genuine
+// miss or refusal: the key is absent, the bucket was taken, or the
+// probed bucket holds another key — as opposed to never running (dead
+// connection). Meaningful when read from within the failure callback.
+func (c *Client) LastExecuted(op Op) bool { return c.pipe(op).lastRan }
 
 // EnableProvenance allocates the per-slot latency receipts on every
 // pipeline and starts stamping phase ledgers on each issued request.
@@ -1043,7 +954,7 @@ func (c *Client) OnReceipt(fn func(Op, *telemetry.Receipt)) { c.rcptHook = fn }
 
 // LastReceipt returns the phase ledger of the most recently completed
 // request on op's pipeline, or nil when provenance is off or the
-// request failed without ever reaching a slot. Like LastMissExecuted,
+// request failed without ever reaching a slot. Like LastExecuted,
 // it is meaningful only when read from within the op's callback; the
 // receipt is overwritten when its slot reissues.
 func (c *Client) LastReceipt(op Op) *telemetry.Receipt { return c.pipe(op).lastRcpt }
@@ -1116,14 +1027,14 @@ func (c *Client) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 
 // ---- write path ----
 
-// setClaim computes the CAS claim for key against the client's view of
-// the bound table (shared logic with the service router): overwrite in
-// place when the key sits at a reachable candidate bucket, claim the
-// first empty reachable candidate otherwise. Keys needing relocation,
-// and spilled residents only a CPU scan can reach, cannot be claimed
-// from here — that is the host's path.
-func (c *Client) setClaim(key uint64) (core.SetClaim, bool) {
-	return claimForTable(c.table.table, c.pool.Mode, key&hopscotch.KeyMask)
+// refuse fails a write the client cannot issue, after a zero-cost hop
+// so cb never runs synchronously.
+func (c *Client) refuse(cb func(lat Duration, ok bool)) {
+	c.tb.clu.Eng.After(0, func() {
+		if cb != nil {
+			cb(0, false)
+		}
+	})
 }
 
 // SetAsync issues one offloaded set of value under key, computing the
@@ -1137,24 +1048,19 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 	if c.table == nil {
 		panic("redn: Bind a table before Set")
 	}
-	if key&hopscotch.PendingBit != 0 || key&hopscotch.KeyMask == 0 {
-		// Reserved id space: pending/tombstone words must never be
-		// resident keys, and key 0's control word IS the empty-bucket
-		// marker.
-		c.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, false)
-			}
-		})
+	k := key & hopscotch.KeyMask
+	if reservedKey(k) {
+		c.refuse(cb)
 		return
 	}
-	claim, ok := c.setClaim(key)
+	// The claim comes from the client's view of the bound table (shared
+	// logic with the service router): overwrite in place when the key
+	// sits at a reachable candidate bucket, claim the first empty
+	// reachable candidate otherwise. Keys needing relocation, and
+	// spilled residents only a CPU scan can reach, are the host's path.
+	claim, ok := claimForTable(c.table.table, c.pool.Mode, k)
 	if !ok {
-		c.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, false)
-			}
-		})
+		c.refuse(cb)
 		return
 	}
 	// An acknowledged overwrite repoints the bucket at the new staging
@@ -1163,7 +1069,6 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 	// prevVal). Seed the chain with the table's current extent so the
 	// first overwrite retires the preloaded value. (Service writes pass
 	// SetAsyncClaim directly — their coordinator owns the lifecycle.)
-	k := key & hopscotch.KeyMask
 	if c.arena != nil {
 		if _, tracked := c.prevVal[k]; !tracked {
 			if va, _, ok := c.table.table.Lookup(k); ok {
@@ -1211,14 +1116,6 @@ func (c *Client) Set(key uint64, value []byte) (Duration, bool) {
 
 // ---- delete path ----
 
-// deleteClaim computes the delete claim for key against the client's
-// view of the bound table: the key must sit at a candidate bucket the
-// NIC probes. Spilled residents only a CPU scan can reach — and keys
-// that are absent outright — cannot be claimed from here.
-func (c *Client) deleteClaim(key uint64) (core.DeleteClaim, bool) {
-	return deleteClaimForTable(c.table.table, c.pool.Mode, key&hopscotch.KeyMask)
-}
-
 // DeleteAsync issues one offloaded delete of key, computing the bucket
 // claim from the bound table, and returns immediately; cb runs when
 // the NIC's ack lands or MissTimeout expires. Deletes beyond the
@@ -1229,25 +1126,21 @@ func (c *Client) DeleteAsync(key uint64, cb func(lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Delete")
 	}
-	if key&hopscotch.PendingBit != 0 || key&hopscotch.KeyMask == 0 {
-		c.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, false)
-			}
-		})
+	k := key & hopscotch.KeyMask
+	if reservedKey(k) {
+		c.refuse(cb)
 		return
 	}
-	claim, ok := c.deleteClaim(key)
+	// The key must sit at a candidate bucket the NIC probes: spilled
+	// residents only a CPU scan can reach — and keys that are absent
+	// outright — cannot be claimed from here.
+	bucket, ok := residentBucket(c.table.table, c.pool.Mode, k)
 	if !ok {
-		c.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, false)
-			}
-		})
+		c.refuse(cb)
 		return
 	}
-	c.nextVer[key&hopscotch.KeyMask]++
-	c.DeleteAsyncClaim(key, claim, c.nextVer[key&hopscotch.KeyMask], cb)
+	c.nextVer[k]++
+	c.DeleteAsyncClaim(k, core.DeleteClaim{BucketAddr: bucket}, c.nextVer[k], cb)
 }
 
 // DeleteAsyncClaim is DeleteAsync with an explicit, caller-computed
@@ -1299,26 +1192,17 @@ func (c *Client) Delete(key uint64) (Duration, bool) {
 
 // ---- probe path ----
 
-// probeTarget computes the probe target for key against the client's
-// view of the bound table: the candidate bucket that holds the key.
-// Keys not at a NIC-reachable candidate (spilled, tombstoned, absent)
-// cannot be probed from here — the repair layer's host-side comparison
-// covers those.
-func (c *Client) probeTarget(key uint64) (core.ProbeTarget, bool) {
-	return probeTargetForTable(c.table.table, c.pool.Mode, key&hopscotch.KeyMask)
-}
-
 // ProbeAsync issues one offloaded version probe of key, computing the
 // target bucket from the bound table, and returns immediately; cb runs
 // with the replica's version word when the NIC's response lands, or
 // ok=false after MissTimeout (key absent at the probed bucket, or dead
-// connection — LastProbeExecuted tells them apart). Probes beyond the
+// connection — LastExecuted tells them apart). Probes beyond the
 // pipeline window queue client-side; call Flush after posting a batch.
 func (c *Client) ProbeAsync(key uint64, cb func(ver uint64, lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Probe")
 	}
-	target, ok := c.probeTarget(key)
+	target, ok := probeTargetForTable(c.table.table, c.pool.Mode, key&hopscotch.KeyMask)
 	if !ok {
 		c.tb.clu.Eng.After(0, func() {
 			if cb != nil {

@@ -91,7 +91,7 @@ func (b *Builder) NewQPOnPU(depth, pu int) *rnic.QP {
 // SubBuilder returns a builder emitting control verbs on a fresh
 // unmanaged control queue (optionally PU-placed) while sharing this
 // builder's expected-completion bookkeeping. Independent chain contexts
-// (core.LookupPool) sequence through sub-builders so one context's
+// (core.Pool) sequence through sub-builders so one context's
 // WAITs never block another's, yet RECV arrival targets on a shared
 // trigger queue stay globally consistent.
 func (b *Builder) SubBuilder(ctrlDepth, pu int) *Builder {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
-	"repro/internal/telemetry"
 	"repro/internal/wqe"
 )
 
@@ -82,16 +81,10 @@ type DeleteClaim struct {
 const deleteRingSlots = 8
 
 // DeleteOffload is an armed conditional-delete offload for one request
-// slot of a client connection's delete path.
+// slot of a client connection's delete path; the conditional ack lives
+// on Resp.
 type DeleteOffload struct {
-	B *Builder
-	// Trig is the server side of the connection's delete-trigger QP;
-	// its RQ receives delete SENDs, shared by every slot of the pool.
-	Trig *rnic.QP
-	// Resp is the slot's dedicated managed QP back to the client for
-	// the conditional ack (per-slot: an ENABLE grants every earlier
-	// WQE on a ring).
-	Resp *rnic.QP
+	offloadBase
 
 	// Ring is the to-free ring unlink WRITEs target; slotBase is this
 	// context's first slot within it.
@@ -105,40 +98,6 @@ type DeleteOffload struct {
 	// in-flight-or-straggling instance), the verWr source — same idiom
 	// as the set chain's args buffers.
 	args [argsRing]uint64
-
-	armed uint64
-}
-
-// SetTraceOp tags this context's private rings (control, chain,
-// unlink, response) so the next armed instance's WRs attribute to op
-// in traces; the shared trigger QP stays untagged.
-func (o *DeleteOffload) SetTraceOp(op uint64) {
-	o.B.Ctrl.SetTraceOp(op)
-	o.w2.SetTraceOp(op)
-	o.w3.SetTraceOp(op)
-	o.Resp.SetTraceOp(op)
-}
-
-// SetProfClass tags every QP this context executes WRs through
-// (including the shared trigger QP — it serves only this op class)
-// for profiler attribution. Static; call once at wiring.
-func (o *DeleteOffload) SetProfClass(class string) {
-	o.B.Ctrl.SetProfClass(class)
-	o.w2.SetProfClass(class)
-	o.w3.SetProfClass(class)
-	o.Resp.SetProfClass(class)
-	if o.Trig != nil {
-		o.Trig.SetProfClass(class)
-	}
-}
-
-// SetReceipt rides a latency receipt on this context's private rings
-// (the same set SetTraceOp tags). nil clears.
-func (o *DeleteOffload) SetReceipt(r *telemetry.Receipt) {
-	o.B.Ctrl.SetReceipt(r)
-	o.w2.SetReceipt(r)
-	o.w3.SetReceipt(r)
-	o.Resp.SetReceipt(r)
 }
 
 // deleteChainWQEs is the busiest-ring WQE budget of one instance (w2):
@@ -148,11 +107,9 @@ const deleteChainWQEs = 6
 // NewDeleteOffload builds one delete context over ring slots
 // [slotBase, slotBase+deleteRingSlots) of ring.
 func NewDeleteOffload(b *Builder, trig, resp *rnic.QP, ring *extent.FreeRing, slotBase uint64) *DeleteOffload {
-	o := &DeleteOffload{B: b, Trig: trig, Resp: resp, Ring: ring, slotBase: slotBase,
-		w2: b.NewManagedQPOnPU(2*deleteChainWQEs+4, -1),
-		w3: b.NewManagedQPOnPU(16, -1)} // unlink + verWr per instance
-	o.w2.SendCQ().SetAutoDrain(true)
-	o.w3.SendCQ().SetAutoDrain(true)
+	o := &DeleteOffload{offloadBase: newOffloadBase(b, trig, resp), Ring: ring, slotBase: slotBase}
+	o.w2 = o.chainRing(2*deleteChainWQEs + 4)
+	o.w3 = o.chainRing(16) // unlink + verWr per instance
 	return o
 }
 
@@ -221,9 +178,6 @@ func (o *DeleteOffload) Arm() {
 	b.Ctrl.RingSQ()
 }
 
-// Armed returns the number of delete instances armed so far.
-func (o *DeleteOffload) Armed() uint64 { return o.armed }
-
 // DeleteWRsPerOp reports the work requests one armed delete posts —
 // the retirement path's Table 2-style budget: RECV + 9 data verbs
 // (claim, observe, arm, move, verdict copy, version stamp, finalize,
@@ -256,14 +210,10 @@ func (o *DeleteOffload) TriggerPayload(key uint64, claim DeleteClaim, ver, ackAd
 	return out
 }
 
-// DeletePool is a pool of K independent delete contexts sharing one
-// client connection's trigger RQ, mirroring SetPool: per-slot private
-// control queues and chain rings spread over the port's PUs, WAITs
-// targeting absolute arrival counts of the shared trigger CQ, and one
-// shared to-free ring partitioned across contexts.
+// DeletePool is a pool of delete contexts sharing one to-free ring,
+// partitioned across contexts.
 type DeletePool struct {
-	Trig *rnic.QP
-	Ctxs []*DeleteOffload
+	Pool[*DeleteOffload]
 	Ring *extent.FreeRing
 }
 
@@ -274,19 +224,7 @@ func NewDeletePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *DeletePool {
 		panic("core: DeletePool needs at least one response QP")
 	}
 	ring := extent.NewFreeRing(b.Dev.Mem(), deleteRingSlots*len(resp))
-	p := &DeletePool{Trig: trig, Ring: ring}
-	const ctrlDepth = 64
-	for i := range resp {
-		cb := b.SubBuilder(ctrlDepth, -1)
-		p.Ctxs = append(p.Ctxs, NewDeleteOffload(cb, trig, resp[i], ring,
-			uint64(i)*deleteRingSlots))
-	}
-	return p
+	return &DeletePool{Ring: ring, Pool: NewPool(b, trig, resp, func(i int, cb *Builder, trig, r *rnic.QP) *DeleteOffload {
+		return NewDeleteOffload(cb, trig, r, ring, uint64(i)*deleteRingSlots)
+	})}
 }
-
-// Depth returns the number of contexts (max overlapping deletes).
-func (p *DeletePool) Depth() int { return len(p.Ctxs) }
-
-// Arm arms one instance on context i. Triggers must go out in global
-// arm order — arrival order sequences the shared trigger CQ.
-func (p *DeletePool) Arm(i int) { p.Ctxs[i].Arm() }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
-	"repro/internal/telemetry"
 	"repro/internal/wqe"
 )
 
@@ -55,92 +54,19 @@ type GetIndex interface {
 }
 
 // LookupOffload is an armed hash-get offload for one client connection.
+// Its response WQEs live on Resp when set — pool contexts need a
+// dedicated response QP each — and on Trig's SQ otherwise.
 type LookupOffload struct {
-	B     *Builder
+	offloadBase
 	Mode  LookupMode
 	Table GetIndex
 
-	// Trig is the server side of the client connection: its RQ
-	// receives triggers, its (managed) SQ holds response WQEs.
-	Trig *rnic.QP
-	// Resp, when set, holds response WQEs on a dedicated managed QP
-	// instead of Trig's SQ. Pool contexts need this: response rings
-	// must not be shared between independently sequenced chains, or
-	// one context's ENABLE (which grants every earlier WQE on the
-	// ring) would prematurely release another's un-CASed response.
-	Resp *rnic.QP
 	// Resp2 is the second response QP for LookupParallel (nil otherwise).
 	Resp2 *rnic.QP
 
-	w2    *rnic.QP // managed chain queue, bucket 1
+	w2    *rnic.QP // managed chain queue, bucket 1 (and bucket 2 in seq mode)
 	w2b   *rnic.QP // managed chain queue, bucket 2 (parallel)
 	ctrlB *rnic.QP // second control queue (parallel)
-
-	armed uint64
-}
-
-// SetTraceOp tags this context's private rings (control, chain,
-// response) so the WRs of the instance armed next attribute to op in
-// traces. The shared trigger QP stays untagged: its batched SENDs
-// interleave ops.
-func (o *LookupOffload) SetTraceOp(op uint64) {
-	o.B.Ctrl.SetTraceOp(op)
-	o.w2.SetTraceOp(op)
-	if o.w2b != nil && o.w2b != o.w2 {
-		o.w2b.SetTraceOp(op)
-	}
-	if o.ctrlB != nil {
-		o.ctrlB.SetTraceOp(op)
-	}
-	if o.Resp != nil {
-		o.Resp.SetTraceOp(op)
-	}
-	if o.Resp2 != nil {
-		o.Resp2.SetTraceOp(op)
-	}
-}
-
-// SetProfClass tags every QP this context executes WRs through —
-// including the shared trigger QP, which serves only this op class —
-// for profiler attribution. Static; call once at wiring.
-func (o *LookupOffload) SetProfClass(class string) {
-	o.B.Ctrl.SetProfClass(class)
-	o.w2.SetProfClass(class)
-	if o.w2b != nil && o.w2b != o.w2 {
-		o.w2b.SetProfClass(class)
-	}
-	if o.ctrlB != nil {
-		o.ctrlB.SetProfClass(class)
-	}
-	if o.Resp != nil {
-		o.Resp.SetProfClass(class)
-	}
-	if o.Resp2 != nil {
-		o.Resp2.SetProfClass(class)
-	}
-	if o.Trig != nil {
-		o.Trig.SetProfClass(class)
-	}
-}
-
-// SetReceipt rides a latency receipt on this context's private rings
-// (the same set SetTraceOp tags) so the next armed instance's resource
-// grants fold into it. nil clears.
-func (o *LookupOffload) SetReceipt(r *telemetry.Receipt) {
-	o.B.Ctrl.SetReceipt(r)
-	o.w2.SetReceipt(r)
-	if o.w2b != nil && o.w2b != o.w2 {
-		o.w2b.SetReceipt(r)
-	}
-	if o.ctrlB != nil {
-		o.ctrlB.SetReceipt(r)
-	}
-	if o.Resp != nil {
-		o.Resp.SetReceipt(r)
-	}
-	if o.Resp2 != nil {
-		o.Resp2.SetReceipt(r)
-	}
 }
 
 // NewLookupOffload builds the offload. trig must be the server-side QP
@@ -153,16 +79,17 @@ func NewLookupOffload(b *Builder, trig *rnic.QP, resp2 *rnic.QP, table GetIndex,
 	if chainDepth <= 0 {
 		chainDepth = 4096
 	}
-	o := &LookupOffload{B: b, Mode: mode, Table: table, Trig: trig, Resp2: resp2,
-		w2: b.NewManagedQP(chainDepth)}
+	o := &LookupOffload{offloadBase: newOffloadBase(b, trig, nil), Mode: mode, Table: table}
+	o.w2 = o.ring(b.NewManagedQP(chainDepth))
+	if resp2 != nil {
+		o.Resp2 = o.ring(resp2)
+	}
 	if mode == LookupParallel {
 		if resp2 == nil {
 			panic("core: parallel lookup needs a second response QP")
 		}
-		o.w2b = b.NewManagedQP(chainDepth)
-		o.ctrlB = b.NewQP(2 * chainDepth)
-	} else if mode == LookupSeq {
-		o.w2b = o.w2
+		o.w2b = o.ring(b.NewManagedQP(chainDepth))
+		o.ctrlB = o.ring(b.NewQP(2 * chainDepth))
 	}
 	return o
 }
@@ -234,7 +161,7 @@ func (o *LookupOffload) Arm() {
 
 	case LookupSeq:
 		p1 := o.postProbe(o.w2, o.resp1())
-		p2 := o.postProbe(o.w2b, o.resp1())
+		p2 := o.postProbe(o.w2, o.resp1())
 		recvTarget := b.ExpectRecv(o.Trig, o.armed, []wqe.ScatterEntry{
 			{Addr: p1.cas.FieldAddr(wqe.OffCmp), Len: 8},
 			{Addr: p1.cas.FieldAddr(wqe.OffSwap), Len: 8},
@@ -281,11 +208,6 @@ func (o *LookupOffload) Arm() {
 		o.ctrlB.RingSQ()
 	}
 }
-
-// Armed returns the number of request instances armed so far. Each
-// instance serves exactly one get; the difference between Armed and the
-// gets completed is the offload's in-flight window.
-func (o *LookupOffload) Armed() uint64 { return o.armed }
 
 // ChainWQEsPerGet reports how many WQEs one armed instance posts on
 // the busiest internal chain ring — the per-instance budget behind

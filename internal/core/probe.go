@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
-	"repro/internal/telemetry"
 	"repro/internal/wqe"
 )
 
@@ -48,48 +47,11 @@ type ProbeTarget struct {
 }
 
 // ProbeOffload is an armed version-probe offload for one request slot
-// of a client connection's probe path.
+// of a client connection's probe path; the version response lives on
+// Resp.
 type ProbeOffload struct {
-	B *Builder
-	// Trig is the server side of the connection's probe-trigger QP; its
-	// RQ receives probe SENDs, shared by every slot of the pool.
-	Trig *rnic.QP
-	// Resp is the slot's dedicated managed QP back to the client (one
-	// per slot: an ENABLE grants every earlier WQE on a ring).
-	Resp *rnic.QP
-
+	offloadBase
 	w2 *rnic.QP // managed chain ring: read + conditional
-
-	armed uint64
-}
-
-// SetTraceOp tags this context's private rings (control, chain,
-// response) so the next armed instance's WRs attribute to op in
-// traces; the shared trigger QP stays untagged.
-func (o *ProbeOffload) SetTraceOp(op uint64) {
-	o.B.Ctrl.SetTraceOp(op)
-	o.w2.SetTraceOp(op)
-	o.Resp.SetTraceOp(op)
-}
-
-// SetProfClass tags every QP this context executes WRs through
-// (including the shared trigger QP — it serves only this op class)
-// for profiler attribution. Static; call once at wiring.
-func (o *ProbeOffload) SetProfClass(class string) {
-	o.B.Ctrl.SetProfClass(class)
-	o.w2.SetProfClass(class)
-	o.Resp.SetProfClass(class)
-	if o.Trig != nil {
-		o.Trig.SetProfClass(class)
-	}
-}
-
-// SetReceipt rides a latency receipt on this context's private rings
-// (the same set SetTraceOp tags). nil clears.
-func (o *ProbeOffload) SetReceipt(r *telemetry.Receipt) {
-	o.B.Ctrl.SetReceipt(r)
-	o.w2.SetReceipt(r)
-	o.Resp.SetReceipt(r)
 }
 
 // probeChainWQEs is the busiest-ring WQE budget of one instance (w2):
@@ -100,9 +62,8 @@ const probeChainWQEs = 2
 // of the client's probe connection (managed RQ); resp a server-side
 // managed QP connected back to the client for the version response.
 func NewProbeOffload(b *Builder, trig, resp *rnic.QP) *ProbeOffload {
-	o := &ProbeOffload{B: b, Trig: trig, Resp: resp,
-		w2: b.NewManagedQPOnPU(2*probeChainWQEs+4, -1)}
-	o.w2.SendCQ().SetAutoDrain(true)
+	o := &ProbeOffload{offloadBase: newOffloadBase(b, trig, resp)}
+	o.w2 = o.chainRing(2*probeChainWQEs + 4)
 	return o
 }
 
@@ -136,9 +97,6 @@ func (o *ProbeOffload) Arm() {
 	b.Ctrl.RingSQ()
 }
 
-// Armed returns the number of probe instances armed so far.
-func (o *ProbeOffload) Armed() uint64 { return o.armed }
-
 // ProbeWRsPerOp reports the work requests one armed probe posts — the
 // repair path's Table 2-style budget.
 func ProbeWRsPerOp() (data, sync int) { return 4, 6 }
@@ -161,36 +119,3 @@ func (o *ProbeOffload) TriggerPayload(key uint64, target ProbeTarget, respAddr u
 	}
 	return out
 }
-
-// ProbePool is a pool of K independent probe contexts sharing one
-// client connection's trigger RQ, mirroring SetPool and DeletePool:
-// per-slot private control queues and chain rings spread over the
-// port's PUs, WAITs targeting absolute arrival counts of the shared
-// trigger CQ so the j-th armed chain fires on the j-th probe SEND.
-type ProbePool struct {
-	Trig *rnic.QP
-	Ctxs []*ProbeOffload
-}
-
-// NewProbePool builds K = len(resp) probe contexts over the trig
-// connection. resp are server-side managed QPs connected back to the
-// client, one per context, carrying the version responses.
-func NewProbePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *ProbePool {
-	if len(resp) == 0 {
-		panic("core: ProbePool needs at least one response QP")
-	}
-	p := &ProbePool{Trig: trig}
-	const ctrlDepth = 64
-	for i := range resp {
-		cb := b.SubBuilder(ctrlDepth, -1)
-		p.Ctxs = append(p.Ctxs, NewProbeOffload(cb, trig, resp[i]))
-	}
-	return p
-}
-
-// Depth returns the number of contexts (max overlapping probes).
-func (p *ProbePool) Depth() int { return len(p.Ctxs) }
-
-// Arm arms one instance on context i. Triggers must go out in global
-// arm order — arrival order sequences the shared trigger CQ.
-func (p *ProbePool) Arm(i int) { p.Ctxs[i].Arm() }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
-	"repro/internal/telemetry"
 	"repro/internal/wqe"
 )
 
@@ -101,16 +100,10 @@ func ClaimPendingCtrl(key uint64) uint64 {
 }
 
 // SetOffload is an armed conditional-put offload for one request slot
-// of a client connection's set path.
+// of a client connection's set path; the conditional ack WRITE lives on
+// Resp.
 type SetOffload struct {
-	B *Builder
-	// Trig is the server side of the connection's set-trigger QP; its
-	// RQ receives set SENDs, shared by every slot of the pool.
-	Trig *rnic.QP
-	// Resp is the slot's dedicated managed QP back to the client; the
-	// conditional ack WRITE lives on its ring (per-slot, because an
-	// ENABLE grants every earlier WQE on a ring).
-	Resp *rnic.QP
+	offloadBase
 	// MaxVal sizes the per-instance staging extents.
 	MaxVal uint64
 	// Arena, when set, supplies (and reclaims) staging extents; nil
@@ -125,40 +118,7 @@ type SetOffload struct {
 	// memory per set.
 	args [argsRing]uint64
 
-	armed   uint64
 	staging uint64 // staging extent of the most recently armed instance
-}
-
-// SetTraceOp tags this context's private rings (control, chain,
-// pointer-write, response) so the next armed instance's WRs attribute
-// to op in traces; the shared trigger QP stays untagged.
-func (o *SetOffload) SetTraceOp(op uint64) {
-	o.B.Ctrl.SetTraceOp(op)
-	o.w2.SetTraceOp(op)
-	o.w3.SetTraceOp(op)
-	o.Resp.SetTraceOp(op)
-}
-
-// SetProfClass tags every QP this context executes WRs through
-// (including the shared trigger QP — it serves only this op class)
-// for profiler attribution. Static; call once at wiring.
-func (o *SetOffload) SetProfClass(class string) {
-	o.B.Ctrl.SetProfClass(class)
-	o.w2.SetProfClass(class)
-	o.w3.SetProfClass(class)
-	o.Resp.SetProfClass(class)
-	if o.Trig != nil {
-		o.Trig.SetProfClass(class)
-	}
-}
-
-// SetReceipt rides a latency receipt on this context's private rings
-// (the same set SetTraceOp tags). nil clears.
-func (o *SetOffload) SetReceipt(r *telemetry.Receipt) {
-	o.B.Ctrl.SetReceipt(r)
-	o.w2.SetReceipt(r)
-	o.w3.SetReceipt(r)
-	o.Resp.SetReceipt(r)
 }
 
 // argsRing is the depth of the per-context args-buffer rotation: one
@@ -171,14 +131,10 @@ const argsRing = 8
 // QP connected back to the client for the ack. arena supplies staging
 // extents (nil: bump allocation).
 func NewSetOffload(b *Builder, trig, resp *rnic.QP, maxVal uint64, arena *extent.Arena) *SetOffload {
+	o := &SetOffload{offloadBase: newOffloadBase(b, trig, resp), MaxVal: maxVal, Arena: arena}
 	// Per-slot rings hold one in-flight instance (ring wrap needs 2x).
-	o := &SetOffload{B: b, Trig: trig, Resp: resp, MaxVal: maxVal, Arena: arena,
-		w2: b.NewManagedQPOnPU(2*setChainWQEs+4, -1),
-		w3: b.NewManagedQPOnPU(8, -1)}
-	// Chain verbs are posted signaled to gate the WAITs; nothing polls
-	// their CQs, so drain at delivery.
-	o.w2.SendCQ().SetAutoDrain(true)
-	o.w3.SendCQ().SetAutoDrain(true)
+	o.w2 = o.chainRing(2*setChainWQEs + 4)
+	o.w3 = o.chainRing(8)
 	return o
 }
 
@@ -259,9 +215,6 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 	return staging
 }
 
-// Armed returns the number of set instances armed so far.
-func (o *SetOffload) Armed() uint64 { return o.armed }
-
 // ReleaseStaging retires the most recently armed instance's staging
 // extent back to the arena — the client calls it when the chain
 // definitively refused the claim (the bucket was taken), at which
@@ -309,39 +262,3 @@ func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ack
 	}
 	return out
 }
-
-// SetPool is a pool of K independent set contexts sharing one client
-// connection's trigger RQ — the server-side substrate of the pipelined
-// write path, mirroring LookupPool: per-slot private control queues
-// and chain rings spread over the port's PUs, WAITs targeting absolute
-// arrival counts of the shared trigger CQ so the j-th armed chain
-// fires on the j-th set SEND regardless of which slot owns it.
-type SetPool struct {
-	Trig *rnic.QP
-	Ctxs []*SetOffload
-}
-
-// NewSetPool builds K = len(resp) set contexts over the trig
-// connection. resp are server-side managed QPs connected back to the
-// client, one per context, carrying the conditional acks. arena
-// supplies staging extents for every context (nil: bump allocation).
-func NewSetPool(b *Builder, trig *rnic.QP, resp []*rnic.QP, maxVal uint64, arena *extent.Arena) *SetPool {
-	if len(resp) == 0 {
-		panic("core: SetPool needs at least one response QP")
-	}
-	p := &SetPool{Trig: trig}
-	const ctrlDepth = 64
-	for i := range resp {
-		cb := b.SubBuilder(ctrlDepth, -1)
-		p.Ctxs = append(p.Ctxs, NewSetOffload(cb, trig, resp[i], maxVal, arena))
-	}
-	return p
-}
-
-// Depth returns the number of contexts (max overlapping sets).
-func (p *SetPool) Depth() int { return len(p.Ctxs) }
-
-// Arm arms one instance on context i and returns its staging extent.
-// As with LookupPool, the caller must send triggers in global arm
-// order — arrival order sequences the shared trigger CQ.
-func (p *SetPool) Arm(i int, cookie uint64) (staging uint64) { return p.Ctxs[i].Arm(cookie) }

@@ -1164,9 +1164,17 @@ func (s *Service) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 // client-side cache with no NIC involvement at all. Gets beyond a
 // client's pipeline depth queue client-side. Call Flush after posting
 // a batch — same-shard gets posted between flushes share one doorbell.
+// A valLen beyond MaxValLen completes as not found.
 func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, ok bool)) {
 	key &= hopscotch.KeyMask
 	s.sentinelKick()
+	if valLen > s.cfg.MaxValLen {
+		// No client response buffer can land it, and no write can have
+		// stored it: not found, after a zero-cost hop.
+		s.misses.Inc()
+		s.tb.clu.Eng.After(0, func() { cb(nil, 0, false) })
+		return
+	}
 	if s.hot != nil {
 		if evicted, ok := s.hot.Touch(key); ok {
 			delete(s.cache, evicted)
@@ -1295,7 +1303,7 @@ func (s *Service) tryGet(key, valLen uint64, order []*serviceShard, i int, spent
 			cb(val, lat, true)
 			return
 		}
-		if cli.LastMissExecuted() {
+		if cli.LastExecuted(OpGet) {
 			// The chain ran and found nothing: the key is absent, the
 			// NIC is alive. Liveness proof, not a crash symptom.
 			sh.consecMiss = 0

@@ -3,7 +3,6 @@ package redn
 import (
 	"repro/internal/hopscotch"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // The fabric delete path and the extent lifecycle behind it.
@@ -12,7 +11,8 @@ import (
 // the key's replica owners, claims each owner's bucket with the NIC
 // delete chain (core.DeleteOffload — CAS tombstone, conditional unlink
 // of the value extent onto the owner's to-free ring, conditional ack),
-// and acknowledges at the same W-of-N quorum as sets. Owners that are
+// and acknowledges at the same W-of-N quorum as sets — through the same
+// coordinator and owner paths (writeAsync, ownerWrite). Owners that are
 // down receive a tombstone HINT: it lives in the same per-key slot and
 // sequence order as value hints, so it supersedes any older value hint
 // — and a drain at recovery replays the delete, never resurrecting the
@@ -50,186 +50,7 @@ const CompactExtentLat = 500 * sim.Nanosecond
 // coordinator can see the deleted value from the cache afterward, and
 // no in-flight get can re-admit it.
 func (s *Service) DeleteAsync(key uint64, cb func(lat Duration, err error)) {
-	key &= hopscotch.KeyMask
-	s.sentinelKick()
-	if key&hopscotch.PendingBit != 0 || key == 0 {
-		s.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, ErrReservedKey)
-			}
-		})
-		return
-	}
-	if !s.admitWrite(key, cb) {
-		return
-	}
-	s.delOps.Inc()
-	s.nextSeq[key]++
-	seq := s.nextSeq[key]
-	s.unsettled[key]++
-	if s.cache != nil {
-		s.setEpoch[key]++
-		delete(s.cache, key)
-	}
-	owners := s.owners(key)
-	extras := s.dualWriteExtras(owners, key)
-	op := &setOp{key: key, seq: seq, del: true, need: s.cfg.WriteQuorum,
-		owners: len(owners), start: s.tb.Now(), cb: cb,
-		settleLeft: len(owners) + len(extras),
-		traceOp:    s.tr.OpBegin("del", key)}
-	if s.prov != nil {
-		op.rcpt = &telemetry.Receipt{}
-		op.rcpt.Reset(op.traceOp, telemetry.ClassDel, op.start)
-		op.rcpt.Legs = uint8(len(owners))
-	}
-	for idx, id := range owners {
-		sh := s.shards[id]
-		legID := op.traceOp<<4 | uint64(idx)
-		if s.tr.Enabled() {
-			s.tr.AsyncBegin("leg", legID, "leg:"+sh.id, op.traceOp)
-		}
-		s.ownerDelete(sh, key, seq, op.traceOp, func(st ownerWriteStatus) {
-			if s.tr.Enabled() {
-				s.tr.AsyncEnd("leg", legID, "leg:"+sh.id, op.traceOp)
-			}
-			switch st {
-			case ownerApplied:
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, seq)
-				}
-				sh.noteDeleted(key, seq)
-				s.dropHint(sh, key, seq)
-				if op.rcpt != nil {
-					op.rcpt.Leg = uint8(idx)
-				}
-				op.ack(s)
-				op.settleOne(s)
-			case ownerUnreachable:
-				s.queueHint(sh, key, nil, true, seq, op)
-				op.fail(s)
-			case ownerRejected:
-				// Deletes have no capacity to run out of; kept for
-				// symmetry with the set fan-out — and, like sets, a
-				// definitive refusal lands in the repair queue rather
-				// than diverging silently.
-				s.queueRepair(sh, key, seq)
-				op.fail(s)
-				op.settleOne(s)
-			}
-		})
-	}
-	for idx, id := range extras {
-		sh := s.shards[id]
-		legID := op.traceOp<<4 | uint64(len(owners)+idx)
-		if s.tr.Enabled() {
-			s.tr.AsyncBegin("leg", legID, "aux:"+sh.id, op.traceOp)
-		}
-		s.ownerDelete(sh, key, seq, op.traceOp, func(st ownerWriteStatus) {
-			if s.tr.Enabled() {
-				s.tr.AsyncEnd("leg", legID, "aux:"+sh.id, op.traceOp)
-			}
-			// Auxiliary dual-delete leg: same contract as the set fan-out's
-			// extras — settle only, never ack or fail the quorum, so a
-			// departing owner cannot decide a delete's fate.
-			if st == ownerApplied {
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, seq)
-				}
-				sh.noteDeleted(key, seq)
-				s.dropHint(sh, key, seq)
-			}
-			op.settleOne(s)
-		})
-	}
-}
-
-// ownerDelete applies one delete on one owner, serializing through the
-// same per-(owner, key) write slot as sets so a delete can never
-// overtake — or be overtaken by — a write to the same key.
-func (s *Service) ownerDelete(sh *serviceShard, key, ver uint64, top uint64, done func(st ownerWriteStatus)) {
-	s.armCompaction(sh)
-	s.armAntiEntropy()
-	s.withKeySlot(sh, key, func() {
-		s.ownerDeleteNow(sh, key, ver, top, func(st ownerWriteStatus) {
-			done(st)
-			s.setNext(sh, key)
-		})
-	})
-}
-
-// ownerDeleteNow routes one owner delete: NIC tombstone chain when the
-// key sits at a reachable candidate bucket, host CPU for spilled
-// residents, a trivial ack when the owner never had the key, handoff
-// failure when the owner is gone. ver is the delete's quorum sequence,
-// stamped onto the tombstone's version word by whichever path applies.
-func (s *Service) ownerDeleteNow(sh *serviceShard, key, ver uint64, top uint64, done func(st ownerWriteStatus)) {
-	now := s.tb.Now()
-	if sh.suspect(now) {
-		s.tb.clu.Eng.After(0, func() { done(ownerUnreachable) })
-		return
-	}
-	claim, fabric := deleteClaimForTable(sh.table.table, sh.mode, key)
-	if !fabric {
-		if _, _, resident := sh.table.table.Lookup(key); !resident {
-			// Nothing to retire here: the owner is already at the
-			// delete's end state. Applied, at a zero-cost hop.
-			s.tb.clu.Eng.After(0, func() {
-				sh.dels.Inc()
-				s.clearLegReceipt() // no measurable leg to adopt
-				done(ownerApplied)
-			})
-			return
-		}
-		if sh.hostDown {
-			s.tb.clu.Eng.After(0, func() { done(ownerUnreachable) })
-			return
-		}
-		s.hostDelete(sh, key, ver, done)
-		return
-	}
-	sh.fabricDels.Inc()
-	cli := sh.setClient(key)
-	s.tr.SetOp(top)
-	cli.DeleteAsyncClaim(key, claim, ver, func(_ Duration, ok bool) {
-		if ok {
-			sh.consecMiss = 0
-			sh.suspectUntil = 0
-			sh.dels.Inc()
-			s.noteLegReceipt(cli.LastReceipt(OpDelete))
-			done(ownerApplied)
-			return
-		}
-		if !cli.LastDeleteExecuted() {
-			s.noteOwnerMiss(sh)
-		}
-		// Claim refused (the bucket moved under a racing relocation, or
-		// the key is already gone) or the NIC is dead: roll forward on
-		// the CPU if the host is up.
-		if sh.hostDown {
-			done(ownerUnreachable)
-			return
-		}
-		s.hostDelete(sh, key, ver, done)
-	})
-	s.tr.SetOp(0)
-	cli.Flush()
-}
-
-// hostDelete retires one owner's copy of key on the host CPU at the
-// modeled two-sided RPC cost. Deleting an absent key is still applied:
-// the owner is at the end state either way.
-func (s *Service) hostDelete(sh *serviceShard, key, ver uint64, done func(st ownerWriteStatus)) {
-	sh.hostDels.Inc()
-	s.tb.clu.Eng.After(HostDeleteLat, func() {
-		if sh.hostDown {
-			done(ownerUnreachable)
-			return
-		}
-		sh.del(key, ver)
-		sh.dels.Inc()
-		s.noteHostLeg(HostDeleteLat)
-		done(ownerApplied)
-	})
+	s.writeAsync(OpDelete, key, nil, cb)
 }
 
 // Delete removes key from its replica owners through the fabric delete

@@ -260,7 +260,7 @@ func (s *Service) maybeReadRepair(key uint64, served *serviceShard, order []*ser
 			}
 			return
 		}
-		if cli.LastProbeExecuted() {
+		if cli.LastExecuted(OpProbe) {
 			// The chain ran and the conditional missed: the bucket moved
 			// between computing the target and the probe landing (a
 			// racing write or relocation). Fall back to the host view.
@@ -397,14 +397,7 @@ func (s *Service) applyRepair(r *repair.Record) {
 			switch st {
 			case ownerApplied:
 				sh.repairsApplied.Inc()
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, winVer)
-				}
-				if winDel {
-					sh.noteDeleted(key, winVer)
-				} else {
-					sh.noteApplied(key, winVer)
-				}
+				s.noteOwnerApplied(sh, winDel, key, winVer)
 				s.dropHint(sh, key, winVer)
 				// Satellite fix: a value cached from the stale owner
 				// before this repair (legal while the write settled)
@@ -420,7 +413,7 @@ func (s *Service) applyRepair(r *repair.Record) {
 			s.setNext(sh, key)
 		}
 		if winDel {
-			s.ownerDeleteNow(sh, key, winVer, 0, finish)
+			s.ownerWriteNow(sh, OpDelete, key, nil, winVer, 0, finish)
 			return
 		}
 		// Capture the winning bytes under the slot: the winner's table
@@ -440,7 +433,7 @@ func (s *Service) applyRepair(r *repair.Record) {
 			s.setNext(sh, key)
 			return
 		}
-		s.ownerSetNow(sh, key, val, winVer, 0, finish)
+		s.ownerWriteNow(sh, OpSet, key, val, winVer, 0, finish)
 	})
 }
 

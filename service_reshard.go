@@ -539,14 +539,7 @@ func (s *Service) migrateCopy(key uint64, sh *serviceShard, done func(ok bool)) 
 			ok := st == ownerApplied
 			if ok {
 				s.migKeysMoved.Inc()
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, winVer)
-				}
-				if winDel {
-					sh.noteDeleted(key, winVer)
-				} else {
-					sh.noteApplied(key, winVer)
-				}
+				s.noteOwnerApplied(sh, winDel, key, winVer)
 				s.dropHint(sh, key, winVer)
 				// A value cached from a pre-change owner must not outlive
 				// the move.
@@ -559,7 +552,7 @@ func (s *Service) migrateCopy(key uint64, sh *serviceShard, done func(ok bool)) 
 			done(ok)
 		}
 		if winDel {
-			s.ownerDeleteNow(sh, key, winVer, 0, finish)
+			s.ownerWriteNow(sh, OpDelete, key, nil, winVer, 0, finish)
 			return
 		}
 		va, vl, liveOK := winner.table.table.Lookup(key)
@@ -576,7 +569,7 @@ func (s *Service) migrateCopy(key uint64, sh *serviceShard, done func(ok bool)) 
 			done(false)
 			return
 		}
-		s.ownerSetNow(sh, key, val, winVer, 0, finish)
+		s.ownerWriteNow(sh, OpSet, key, val, winVer, 0, finish)
 	})
 }
 

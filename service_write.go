@@ -54,6 +54,25 @@ const HostSetLat = 2500 * sim.Nanosecond
 // do.
 var ErrReservedKey = errors.New("redn: key uses the reserved pending/tombstone id space")
 
+// ErrValueTooLarge reports a write whose value exceeds the service's
+// MaxValLen: no client buffer could stage it, so nothing was applied
+// anywhere.
+type ErrValueTooLarge struct {
+	Key      uint64
+	Len, Max uint64
+}
+
+func (e *ErrValueTooLarge) Error() string {
+	return fmt.Sprintf("redn: value of %d bytes for key %#x exceeds MaxValLen %d", e.Len, e.Key, e.Max)
+}
+
+// reservedKey reports whether a masked key is unusable on the fabric
+// path: the reserved id space (pending/tombstone words) would void the
+// claim chain's published/unpublished distinction, and key 0's control
+// word is the empty-bucket marker. Both are rejected exactly as the
+// tables reject them on the host path.
+func reservedKey(key uint64) bool { return key&hopscotch.PendingBit != 0 || key == 0 }
+
 // QuorumError reports a write that could not reach its W-of-N quorum.
 // Replicas that did apply are rolled forward via hinted handoff; the
 // write may still complete after the down owners recover.
@@ -103,13 +122,19 @@ func (s *Service) admitWrite(key uint64, cb func(lat Duration, err error)) bool 
 		return true
 	}
 	s.shedWrites.Inc()
-	err := &ErrOverload{Key: key, Admit: admit, Need: s.cfg.WriteQuorum}
+	s.failWrite(cb, &ErrOverload{Key: key, Admit: admit, Need: s.cfg.WriteQuorum})
+	return false
+}
+
+// failWrite completes a write or delete the coordinator refused before
+// touching any state: err reaches cb after a zero-cost hop, so the
+// callback never runs synchronously.
+func (s *Service) failWrite(cb func(lat Duration, err error), err error) {
 	s.tb.clu.Eng.After(0, func() {
 		if cb != nil {
 			cb(0, err)
 		}
 	})
-	return false
 }
 
 // hint is one queued handoff write: the newest value — or tombstone —
@@ -127,11 +152,11 @@ type hint struct {
 	settled  bool
 }
 
-// setOp tracks one client-visible write (or delete: del=true) across
-// its owner fan-out.
+// setOp tracks one client-visible write or delete (kind OpSet or
+// OpDelete) across its owner fan-out.
 type setOp struct {
 	key, seq     uint64
-	del          bool
+	kind         Op
 	need, owners int
 	acks, fails  int
 	start        sim.Time
@@ -150,22 +175,12 @@ type setOp struct {
 	lastAckAt sim.Time
 }
 
-// traceName is the op span name this write opened under: deletes and
-// sets share setOp, so the quorum-settling OpEnd must pick the right
-// pair.
-func (op *setOp) traceName() string {
-	if op.del {
-		return "del"
-	}
-	return "set"
-}
-
 func (op *setOp) ack(s *Service) {
 	op.acks++
 	now := s.tb.Now()
 	if !op.done && op.acks >= op.need {
 		op.done = true
-		s.tr.OpEnd(op.traceOp, op.traceName())
+		s.tr.OpEnd(op.traceOp, op.kind.String())
 		if op.rcpt != nil {
 			// This ack completed the quorum, so the leg whose callback
 			// is running is the critical leg: adopt its phase ledger
@@ -196,7 +211,7 @@ func (op *setOp) fail(s *Service) {
 	op.fails++
 	if !op.done && op.fails > op.owners-op.need {
 		op.done = true
-		s.tr.OpEnd(op.traceOp, op.traceName())
+		s.tr.OpEnd(op.traceOp, op.kind.String())
 		s.quorumFails.Inc()
 		now := s.tb.Now()
 		if op.rcpt != nil {
@@ -276,42 +291,55 @@ func (op *setOp) settleOne(s *Service) {
 // batch. The write-through cache and the key's write epoch update at
 // issue time, so a reader of this coordinator observes its own writes
 // immediately and a racing get can never install a stale cache entry.
+// A value longer than MaxValLen fails with *ErrValueTooLarge.
 func (s *Service) SetAsync(key uint64, value []byte, cb func(lat Duration, err error)) {
+	s.writeAsync(OpSet, key, value, cb)
+}
+
+// writeAsync is the one coordinator path behind SetAsync (kind OpSet)
+// and DeleteAsync (kind OpDelete, value nil): it rejects reserved keys
+// and oversized values, runs admission, issues the per-key sequence,
+// updates the cache and write epoch, opens the op's receipt, and fans
+// the op out to the key's owners and any dual-write extras.
+func (s *Service) writeAsync(kind Op, key uint64, value []byte, cb func(lat Duration, err error)) {
 	key &= hopscotch.KeyMask
 	s.sentinelKick()
-	if key&hopscotch.PendingBit != 0 || key == 0 {
-		// The reserved id space (pending/tombstone words) would void the
-		// claim chain's published/unpublished distinction, and key 0's
-		// control word is the empty-bucket marker; reject both on the
-		// fabric path exactly as the tables do on the host path.
-		s.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, ErrReservedKey)
-			}
-		})
+	if reservedKey(key) {
+		s.failWrite(cb, ErrReservedKey)
+		return
+	}
+	if n := uint64(len(value)); n > s.cfg.MaxValLen {
+		s.failWrite(cb, &ErrValueTooLarge{Key: key, Len: n, Max: s.cfg.MaxValLen})
 		return
 	}
 	if !s.admitWrite(key, cb) {
 		return
 	}
-	s.setOps.Inc()
+	del := kind == OpDelete
+	if del {
+		s.delOps.Inc()
+	} else {
+		s.setOps.Inc()
+	}
 	s.nextSeq[key]++
 	seq := s.nextSeq[key]
 	s.unsettled[key]++
 	if s.cache != nil {
 		s.setEpoch[key]++
-		if _, ok := s.cache[key]; ok {
+		if del {
+			delete(s.cache, key)
+		} else if _, ok := s.cache[key]; ok {
 			s.cache[key] = append([]byte(nil), value...)
 		}
 	}
 	owners := s.owners(key)
 	extras := s.dualWriteExtras(owners, key)
-	op := &setOp{key: key, seq: seq, need: s.cfg.WriteQuorum, owners: len(owners),
+	op := &setOp{key: key, seq: seq, kind: kind, need: s.cfg.WriteQuorum, owners: len(owners),
 		start: s.tb.Now(), cb: cb, settleLeft: len(owners) + len(extras),
-		traceOp: s.tr.OpBegin("set", key)}
+		traceOp: s.tr.OpBegin(kind.String(), key)}
 	if s.prov != nil {
 		op.rcpt = &telemetry.Receipt{}
-		op.rcpt.Reset(op.traceOp, telemetry.ClassSet, op.start)
+		op.rcpt.Reset(op.traceOp, uint8(kind), op.start)
 		op.rcpt.Legs = uint8(len(owners))
 	}
 	val := append([]byte(nil), value...)
@@ -321,16 +349,13 @@ func (s *Service) SetAsync(key uint64, value []byte, cb func(lat Duration, err e
 		if s.tr.Enabled() {
 			s.tr.AsyncBegin("leg", legID, "leg:"+sh.id, op.traceOp)
 		}
-		s.ownerSet(sh, key, val, seq, op.traceOp, func(st ownerWriteStatus) {
+		s.ownerWrite(sh, kind, key, val, seq, op.traceOp, func(st ownerWriteStatus) {
 			if s.tr.Enabled() {
 				s.tr.AsyncEnd("leg", legID, "leg:"+sh.id, op.traceOp)
 			}
 			switch st {
 			case ownerApplied:
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, seq)
-				}
-				sh.noteApplied(key, seq)
+				s.noteOwnerApplied(sh, del, key, seq)
 				s.dropHint(sh, key, seq)
 				if op.rcpt != nil {
 					op.rcpt.Leg = uint8(idx)
@@ -338,14 +363,13 @@ func (s *Service) SetAsync(key uint64, value []byte, cb func(lat Duration, err e
 				op.ack(s)
 				op.settleOne(s)
 			case ownerUnreachable:
-				s.queueHint(sh, key, val, false, seq, op)
+				s.queueHint(sh, key, val, del, seq, op)
 				op.fail(s)
 			case ownerRejected:
-				// Definitive refusal — but no longer a silent divergence:
-				// the repair queue records the laggard so read-repair or
-				// anti-entropy rolls it forward once capacity frees
-				// (pre-repair, a rejected owner simply stayed stale until
-				// the next overwrite).
+				// Definitive refusal (only sets can meet a full table) —
+				// but no longer a silent divergence: the repair queue
+				// records the laggard so read-repair or anti-entropy rolls
+				// it forward once capacity frees.
 				s.queueRepair(sh, key, seq)
 				op.fail(s)
 				op.settleOne(s)
@@ -358,7 +382,7 @@ func (s *Service) SetAsync(key uint64, value []byte, cb func(lat Duration, err e
 		if s.tr.Enabled() {
 			s.tr.AsyncBegin("leg", legID, "aux:"+sh.id, op.traceOp)
 		}
-		s.ownerSet(sh, key, val, seq, op.traceOp, func(st ownerWriteStatus) {
+		s.ownerWrite(sh, kind, key, val, seq, op.traceOp, func(st ownerWriteStatus) {
 			if s.tr.Enabled() {
 				s.tr.AsyncEnd("leg", legID, "aux:"+sh.id, op.traceOp)
 			}
@@ -370,14 +394,25 @@ func (s *Service) SetAsync(key uint64, value []byte, cb func(lat Duration, err e
 			// future, and the dual-read fallback this leg serves reaches
 			// them first.
 			if st == ownerApplied {
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, seq)
-				}
-				sh.noteApplied(key, seq)
+				s.noteOwnerApplied(sh, del, key, seq)
 				s.dropHint(sh, key, seq)
 			}
 			op.settleOne(s)
 		})
+	}
+}
+
+// noteOwnerApplied records one owner's apply of a write or delete
+// (del) at seq: the linearizability hook, then the owner's version
+// metadata.
+func (s *Service) noteOwnerApplied(sh *serviceShard, del bool, key, seq uint64) {
+	if s.applyHook != nil {
+		s.applyHook(sh.id, key, seq)
+	}
+	if del {
+		sh.noteDeleted(key, seq)
+	} else {
+		sh.noteApplied(key, seq)
 	}
 }
 
@@ -393,14 +428,16 @@ func (s *Service) withKeySlot(sh *serviceShard, key uint64, run func()) {
 	run()
 }
 
-// ownerSet applies one write on one owner, serializing same-key writes
-// so per-key order survives the pipelined fabric. done always runs
+// ownerWrite applies one write or delete on one owner, serializing
+// both kinds through the same per-(owner, key) write slot so per-key
+// order survives the pipelined fabric: a delete can never overtake — or
+// be overtaken by — a write to the same key. done always runs
 // asynchronously (from the simulation).
-func (s *Service) ownerSet(sh *serviceShard, key uint64, val []byte, ver uint64, top uint64, done func(st ownerWriteStatus)) {
+func (s *Service) ownerWrite(sh *serviceShard, kind Op, key uint64, val []byte, ver, top uint64, done func(st ownerWriteStatus)) {
 	s.armCompaction(sh)
 	s.armAntiEntropy()
 	s.withKeySlot(sh, key, func() {
-		s.ownerSetNow(sh, key, val, ver, top, func(st ownerWriteStatus) {
+		s.ownerWriteNow(sh, kind, key, val, ver, top, func(st ownerWriteStatus) {
 			done(st)
 			s.setNext(sh, key)
 		})
@@ -432,58 +469,101 @@ const (
 	ownerRejected
 )
 
-// ownerSetNow routes one owner write: fabric claim chain when the key
-// can be claimed at a candidate bucket, host CPU otherwise, handoff
-// failure when neither can run. ver is the write's quorum sequence,
+// writeCounters returns one write kind's per-shard counters: owner
+// applies, fabric attempts and host fallbacks.
+func (sh *serviceShard) writeCounters(kind Op) (applied, fabric, host *telemetry.Counter) {
+	if kind == OpDelete {
+		return sh.dels, sh.fabricDels, sh.hostDels
+	}
+	return sh.sets, sh.fabricSets, sh.hostSets
+}
+
+// ownerWriteNow routes one owner write or delete: the NIC claim chain
+// when the fabric can claim the key's bucket, the host CPU otherwise,
+// handoff failure when neither can run. Sets claim a candidate bucket
+// (overwrite in place, or the first free one); deletes claim the
+// reachable bucket holding the key, and a delete of a key the owner
+// never had is applied trivially. ver is the op's quorum sequence,
 // published into the bucket's version word by whichever path applies.
-func (s *Service) ownerSetNow(sh *serviceShard, key uint64, val []byte, ver uint64, top uint64, done func(st ownerWriteStatus)) {
-	now := s.tb.Now()
-	if sh.suspect(now) {
+func (s *Service) ownerWriteNow(sh *serviceShard, kind Op, key uint64, val []byte, ver, top uint64, done func(st ownerWriteStatus)) {
+	if sh.suspect(s.tb.Now()) {
 		// Circuit breaker: don't burn a MissTimeout per write on a
 		// shard the read path already declared dead.
 		s.tb.clu.Eng.After(0, func() { done(ownerUnreachable) })
 		return
 	}
-	claim, fabric := sh.claimFor(key)
+	applied, fabricTries, _ := sh.writeCounters(kind)
+	t := sh.table.table
+	var (
+		claim  core.SetClaim
+		bucket uint64
+		fabric bool
+	)
+	if kind == OpDelete {
+		if bucket, fabric = residentBucket(t, sh.mode, key); !fabric {
+			if _, _, resident := t.Lookup(key); !resident {
+				// Nothing to retire here: the owner is already at the
+				// delete's end state. Applied, at a zero-cost hop.
+				s.tb.clu.Eng.After(0, func() {
+					applied.Inc()
+					s.clearLegReceipt() // no measurable leg to adopt
+					done(ownerApplied)
+				})
+				return
+			}
+		}
+	} else {
+		claim, fabric = sh.claimFor(key)
+	}
 	if !fabric {
 		if sh.hostDown {
 			s.tb.clu.Eng.After(0, func() { done(ownerUnreachable) })
 			return
 		}
-		s.hostSet(sh, key, val, ver, done)
+		s.hostWrite(sh, kind, key, val, ver, done)
 		return
 	}
-	sh.fabricSets.Inc()
+	fabricTries.Inc()
 	// An acked fabric set repoints the bucket at the chain's staging
 	// extent; the old extent — captured here, under the per-key write
 	// slot — is retired on the ack, after the read-grace period.
-	oldVa, _, hadOld := sh.table.table.Lookup(key)
+	var oldVa uint64
+	var hadOld bool
+	if kind == OpSet {
+		oldVa, _, hadOld = t.Lookup(key)
+	}
 	cli := sh.setClient(key)
-	s.tr.SetOp(top)
-	cli.SetAsyncClaim(key, val, claim, ver, func(_ Duration, ok bool) {
+	finish := func(_ Duration, ok bool) {
 		if ok {
 			sh.consecMiss = 0
 			sh.suspectUntil = 0
-			sh.sets.Inc()
+			applied.Inc()
 			if hadOld {
 				sh.retireExtent(oldVa)
 			}
-			s.noteLegReceipt(cli.LastReceipt(OpSet))
+			s.noteLegReceipt(cli.LastReceipt(kind))
 			done(ownerApplied)
 			return
 		}
-		if !cli.LastSetExecuted() {
+		if !cli.LastExecuted(kind) {
 			// The chain never ran: dead NIC, count toward suspicion.
 			s.noteOwnerMiss(sh)
 		}
-		// Claim refused (a racing writer took the bucket) or the NIC is
-		// gone: roll forward on the CPU if the host is up.
+		// Claim refused (a racing writer took the bucket, or a
+		// relocation moved the key) or the NIC is gone: roll forward on
+		// the CPU if the host is up.
 		if sh.hostDown {
 			done(ownerUnreachable)
 			return
 		}
-		s.hostSet(sh, key, val, ver, done)
-	})
+		s.hostWrite(sh, kind, key, val, ver, done)
+	}
+	s.tr.SetOp(top)
+	if kind == OpDelete {
+		cli.DeleteAsyncClaim(key, core.DeleteClaim{BucketAddr: bucket}, ver, finish)
+	} else {
+		cli.SetAsyncClaim(key, val, claim, ver, finish)
+	}
 	s.tr.SetOp(0)
 	// Writes issued from completion callbacks run outside the caller's
 	// batch; kick them directly, like get retries.
@@ -496,33 +576,58 @@ func (sh *serviceShard) setClient(key uint64) *Client {
 	return sh.clients[int(key)%len(sh.clients)]
 }
 
-// claimForTable computes key's bucket claim against a table, honoring
-// the lookup mode's probe reach. The bool result reports whether the
-// fabric can carry this write: false means only the host can run it —
-// cuckoo-kick relocation (all reachable candidates taken), or the key
-// lives in a spilled neighborhood slot the NIC cannot address (a NIC
-// claim would install an unreadable duplicate). Shared by the service
-// router and the standalone client so the two views cannot drift.
-func claimForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.SetClaim, bool) {
-	kc := core.ClaimCtrl(key)
-	probes := 2
-	if mode == LookupSingle {
-		// Single-probe lookups read H1 only; a claim at H2 would be
-		// acknowledged yet permanently unreadable.
-		probes = 1
-	}
-	for fn := 0; fn < probes; fn++ {
+// residentBucket returns the address of the candidate bucket holding
+// key, honoring the lookup mode's probe reach — the only bucket a NIC
+// chain can address for it. false means the key is spilled to a
+// neighborhood slot only a CPU scan reaches, tombstoned, or absent.
+// Shared by the service router and the standalone client so the two
+// views cannot drift; set claims, delete claims and probe targets all
+// start from it.
+func residentBucket(t *hopscotch.Table, mode LookupMode, key uint64) (uint64, bool) {
+	for fn := 0; fn < probeReach(mode); fn++ {
 		b := t.Hash(key, fn)
 		if k, _, _, ok := t.EntryAt(b); ok && k == key {
-			return core.SetClaim{BucketAddr: t.BucketAddr(b), Expect: kc, New: kc}, true
+			return t.BucketAddr(b), true
 		}
+	}
+	return 0, false
+}
+
+// probeTargetForTable is residentBucket as a version-probe target:
+// spilled residents, tombstones and absent keys are the repair layer's
+// host-side comparison.
+func probeTargetForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.ProbeTarget, bool) {
+	addr, ok := residentBucket(t, mode, key)
+	return core.ProbeTarget{BucketAddr: addr}, ok
+}
+
+// probeReach is how many candidate buckets the mode's lookups probe:
+// single-probe lookups read H1 only, so a claim at H2 would be
+// acknowledged yet permanently unreadable.
+func probeReach(mode LookupMode) int {
+	if mode == LookupSingle {
+		return 1
+	}
+	return 2
+}
+
+// claimForTable computes key's bucket claim against a table. The bool
+// result reports whether the fabric can carry this write: false means
+// only the host can run it — cuckoo-kick relocation (all reachable
+// candidates taken), or the key lives in a spilled neighborhood slot
+// the NIC cannot address (a NIC claim would install an unreadable
+// duplicate).
+func claimForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.SetClaim, bool) {
+	if addr, ok := residentBucket(t, mode, key); ok {
+		kc := core.ClaimCtrl(key)
+		return core.SetClaim{BucketAddr: addr, Expect: kc, New: kc}, true
 	}
 	if _, _, ok := t.Lookup(key); ok {
 		// Resident but not at a reachable candidate bucket: only the
 		// CPU's neighborhood scan can update it.
 		return core.SetClaim{}, false
 	}
-	for fn := 0; fn < probes; fn++ {
+	for fn := 0; fn < probeReach(mode); fn++ {
 		b := t.Hash(key, fn)
 		if _, _, _, ok := t.EntryAt(b); !ok {
 			// A free candidate is either genuinely empty (CAS against
@@ -550,64 +655,34 @@ func (sh *serviceShard) claimFor(key uint64) (core.SetClaim, bool) {
 	return claimForTable(sh.table.table, sh.mode, key)
 }
 
-// deleteClaimForTable computes key's delete claim against a table,
-// honoring the lookup mode's probe reach. The bool result reports
-// whether the fabric can carry the delete: the key must sit at a
-// candidate bucket the NIC addresses — spilled residents (and keys not
-// present at all) are the host's business. Shared by the service
-// router and the standalone client, like claimForTable.
-func deleteClaimForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.DeleteClaim, bool) {
-	probes := 2
-	if mode == LookupSingle {
-		probes = 1
+// hostWrite applies one owner write or delete on the host CPU at the
+// modeled two-sided RPC cost: the kick and spilled-resident path, and
+// the roll-forward path for refused claims. Deleting an absent key is
+// still applied: the owner is at the end state either way.
+func (s *Service) hostWrite(sh *serviceShard, kind Op, key uint64, val []byte, ver uint64, done func(st ownerWriteStatus)) {
+	applied, _, host := sh.writeCounters(kind)
+	host.Inc()
+	lat := HostSetLat
+	if kind == OpDelete {
+		lat = HostDeleteLat
 	}
-	for fn := 0; fn < probes; fn++ {
-		b := t.Hash(key, fn)
-		if k, _, _, ok := t.EntryAt(b); ok && k == key {
-			return core.DeleteClaim{BucketAddr: t.BucketAddr(b)}, true
-		}
-	}
-	return core.DeleteClaim{}, false
-}
-
-// probeTargetForTable computes key's version-probe target against a
-// table, honoring the lookup mode's probe reach: the candidate bucket
-// holding the key, which is the only bucket the NIC probe chain can
-// interrogate. Spilled residents, tombstones and absent keys are the
-// repair layer's host-side comparison. Shared by the service router and
-// the standalone client, like claimForTable.
-func probeTargetForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.ProbeTarget, bool) {
-	probes := 2
-	if mode == LookupSingle {
-		probes = 1
-	}
-	for fn := 0; fn < probes; fn++ {
-		b := t.Hash(key, fn)
-		if k, _, _, ok := t.EntryAt(b); ok && k == key {
-			return core.ProbeTarget{BucketAddr: t.BucketAddr(b)}, true
-		}
-	}
-	return core.ProbeTarget{}, false
-}
-
-// hostSet applies one owner write on the host CPU at the modeled
-// two-sided RPC cost: the kick path, and the roll-forward path for
-// refused claims.
-func (s *Service) hostSet(sh *serviceShard, key uint64, val []byte, ver uint64, done func(st ownerWriteStatus)) {
-	sh.hostSets.Inc()
-	s.tb.clu.Eng.After(HostSetLat, func() {
+	s.tb.clu.Eng.After(lat, func() {
 		if sh.hostDown {
 			// Crashed while the RPC was in flight.
 			done(ownerUnreachable)
 			return
 		}
-		if err := sh.set(key, val, ver); err != nil {
+		if kind == OpDelete {
+			sh.del(key, ver)
+			applied.Inc()
+		} else if err := sh.set(key, val, ver); err != nil {
 			// The table itself refused (kick walk and neighborhoods
 			// exhausted): a definitive rejection, not unavailability.
+			// sh.set counted the attempt.
 			done(ownerRejected)
 			return
 		}
-		s.noteHostLeg(HostSetLat)
+		s.noteHostLeg(lat)
 		done(ownerApplied)
 	})
 }
@@ -714,25 +789,15 @@ func (s *Service) drainHint(sh *serviceShard, key uint64) {
 			s.drainHint(sh, key)
 			return
 		}
-		apply := func(done func(st ownerWriteStatus)) {
-			if h.del {
-				s.ownerDeleteNow(sh, key, h.seq, 0, done)
-			} else {
-				s.ownerSetNow(sh, key, h.val, h.seq, 0, done)
-			}
+		kind := OpSet
+		if h.del {
+			kind = OpDelete
 		}
-		apply(func(st ownerWriteStatus) {
+		s.ownerWriteNow(sh, kind, key, h.val, h.seq, 0, func(st ownerWriteStatus) {
 			h.draining = false
 			switch st {
 			case ownerApplied:
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, h.seq)
-				}
-				if h.del {
-					sh.noteDeleted(key, h.seq)
-				} else {
-					sh.noteApplied(key, h.seq)
-				}
+				s.noteOwnerApplied(sh, h.del, key, h.seq)
 				if cur, still := sh.hints[key]; still && cur == h {
 					delete(sh.hints, key)
 					sh.hintsApplied.Inc()
