@@ -60,13 +60,18 @@ func (o Op) String() string {
 }
 
 // PipelineStats is a point-in-time snapshot of one pipeline's
-// occupancy. InFlight and Wedged are disjoint: a quarantined slot is
-// neither free nor carrying a live request.
+// occupancy and counters. InFlight and Wedged are disjoint: a
+// quarantined slot is neither free nor carrying a live request.
 type PipelineStats struct {
 	InFlight int // slots occupied by live requests
 	Queued   int // requests waiting client-side for a slot or window
 	Wedged   int // quarantined slots (armed chain never executed)
 	Window   int // current congestion window (== Depth when pinned)
+
+	Issued      uint64 // requests issued (or failed on a dead connection)
+	Acks        uint64 // requests that succeeded (get hits, acked writes)
+	Fails       uint64 // requests that failed (misses, refusals, timeouts)
+	MaxInFlight int    // high-water mark of occupied slots
 }
 
 // Client is a remote node issuing offloaded gets and sets against a
@@ -606,26 +611,11 @@ func (c *Client) SetTracer(tr *telemetry.Tracer, label string) {
 }
 
 // ClientStats is a point-in-time snapshot of the client's counters
-// across all four paths — the single surface Service.Stats and tests
-// read instead of poking one-off accessors.
+// that span its pipelines; per-op counters are in PipelineStats.
 type ClientStats struct {
-	Gets, Hits, Misses uint64
-	MaxInFlight        int // pipeline high-water, get path
-
-	Sets, SetAcks, SetFails uint64
-	MaxSetsInFlight         int
-
-	Dels, DelAcks, DelFails uint64
-	MaxDelsInFlight         int
-
-	Probes, ProbeAcks, ProbeFails uint64
-
 	// GCFreed/GCStale count to-free ring drains: extents returned to
 	// the arena vs entries whose extent was already gone.
 	GCFreed, GCStale uint64
-
-	// Quarantined slots per path (armed chain never executed).
-	Wedged, SetsWedged, DelsWedged, ProbesWedged int
 
 	// WindowCuts/EcnCuts total the multiplicative decreases across all
 	// four windows (EcnCuts the subset taken on ECN marks rather than
@@ -633,26 +623,14 @@ type ClientStats struct {
 	WindowCuts, EcnCuts uint64
 }
 
-// Stats snapshots every per-client counter.
+// Stats snapshots the client-wide counters.
 func (c *Client) Stats() ClientStats {
-	var cuts, ecnCuts uint64
+	st := ClientStats{GCFreed: c.gcFreed, GCStale: c.gcStale}
 	for _, p := range c.pipes {
-		cuts += p.win.cuts
-		ecnCuts += p.win.ecnCuts
+		st.WindowCuts += p.win.cuts
+		st.EcnCuts += p.win.ecnCuts
 	}
-	return ClientStats{
-		Gets: c.get.issued, Hits: c.get.acks, Misses: c.get.fails,
-		MaxInFlight: c.get.maxInFlight,
-		Sets:        c.set.issued, SetAcks: c.set.acks, SetFails: c.set.fails,
-		MaxSetsInFlight: c.set.maxInFlight,
-		Dels:            c.del.issued, DelAcks: c.del.acks, DelFails: c.del.fails,
-		MaxDelsInFlight: c.del.maxInFlight,
-		Probes:          c.prb.issued, ProbeAcks: c.prb.acks, ProbeFails: c.prb.fails,
-		GCFreed: c.gcFreed, GCStale: c.gcStale,
-		Wedged: c.get.nWedged, SetsWedged: c.set.nWedged,
-		DelsWedged: c.del.nWedged, ProbesWedged: c.prb.nWedged,
-		WindowCuts: cuts, EcnCuts: ecnCuts,
-	}
+	return st
 }
 
 // NewClient adds a client node connected back-to-back to srv, keeping
@@ -915,10 +893,9 @@ func (c *Client) pipe(op Op) *opPipeline {
 	return c.get
 }
 
-// PipelineStats snapshots one pipeline's occupancy and window. Unlike
-// the deprecated per-op accessors it reports in-flight and wedged
-// slots disjointly from an explicit counter rather than deriving one
-// from the other.
+// PipelineStats snapshots one pipeline's occupancy, window and
+// counters. It reports in-flight and wedged slots disjointly from an
+// explicit counter rather than deriving one from the other.
 func (c *Client) PipelineStats(op Op) PipelineStats {
 	p := c.pipe(op)
 	return PipelineStats{
@@ -926,6 +903,8 @@ func (c *Client) PipelineStats(op Op) PipelineStats {
 		Queued:   len(p.waiting),
 		Wedged:   p.nWedged,
 		Window:   p.win.size(),
+		Issued:   p.issued, Acks: p.acks, Fails: p.fails,
+		MaxInFlight: p.maxInFlight,
 	}
 }
 
@@ -987,13 +966,16 @@ func (c *Client) Flush() {
 // immediately; cb runs (from the simulation, never synchronously) when
 // the response lands or MissTimeout expires. Gets beyond the pipeline
 // window queue client-side until a slot frees. Call Flush to ring the
-// doorbell after posting a batch.
+// doorbell after posting a batch. A valLen beyond the client's maximum
+// completes as a miss after a zero-cost hop.
 func (c *Client) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Get")
 	}
 	if valLen > c.maxVal {
-		panic(fmt.Sprintf("redn: valLen %d exceeds client max %d", valLen, c.maxVal))
+		// No response buffer can land it: a miss, after a zero-cost hop.
+		c.tb.clu.Eng.After(0, func() { cb(nil, 0, false) })
+		return
 	}
 	c.get.submit(&pipeReq{key: key & hopscotch.KeyMask, valLen: valLen, getCB: cb, op: c.tr.Op()})
 }
@@ -1043,7 +1025,8 @@ func (c *Client) refuse(cb func(lat Duration, ok bool)) {
 // pipeline window queue client-side. Call Flush to ring the doorbell
 // after posting a batch. A key whose candidate buckets are both taken
 // by other keys fails immediately (ok=false after a zero-cost hop):
-// relocation is host work, not a NIC claim.
+// relocation is host work, not a NIC claim. So does a value beyond the
+// client's maximum.
 func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Set")
@@ -1090,10 +1073,11 @@ func (c *Client) SetAsyncClaim(key uint64, value []byte, claim core.SetClaim, ve
 
 // setAsyncReq routes one set request into the pipeline.
 func (c *Client) setAsyncReq(req *pipeReq) {
-	req.op = c.tr.Op()
 	if uint64(len(req.val)) > c.maxVal {
-		panic(fmt.Sprintf("redn: value %d exceeds client max %d", len(req.val), c.maxVal))
+		c.refuse(req.ackCB)
+		return
 	}
+	req.op = c.tr.Op()
 	c.set.submit(req)
 }
 

@@ -311,6 +311,90 @@ func TestClientSetRoundTrip(t *testing.T) {
 	}
 }
 
+// Values and get lengths beyond the client's maximum are caller errors
+// the client reports, never panics: writes fail after a zero-cost hop,
+// gets complete as misses, and nothing reaches a pipeline.
+func TestClientOversizedValues(t *testing.T) {
+	tb := NewTestbed()
+	srv := tb.NewServer()
+	table := srv.NewHashTable(1024)
+	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
+	cli.Bind(table)
+	const key = 7
+	if _, ok := cli.Set(key, Value(key, 64)); !ok {
+		t.Fatal("baseline set failed")
+	}
+	max := cli.maxVal
+	big := make([]byte, max+1)
+	// async runs one *Async call, checks it completes from the
+	// simulation rather than synchronously, and waits for it.
+	async := func(t *testing.T, issue func(done *bool)) {
+		t.Helper()
+		done := false
+		issue(&done)
+		if done {
+			t.Fatal("callback ran synchronously")
+		}
+		cli.Flush()
+		if !tb.stepUntil(&done) {
+			t.Fatal("callback never ran")
+		}
+	}
+	refused := func(t *testing.T, lat Duration, ok bool) {
+		t.Helper()
+		if ok || lat != 0 {
+			t.Fatalf("oversized set returned ok=%v lat=%v, want a refusal after a zero-cost hop", ok, lat)
+		}
+	}
+	notFound := func(t *testing.T, val []byte, lat Duration, ok bool) {
+		t.Helper()
+		if ok || val != nil || lat != 0 {
+			t.Fatalf("oversized get returned ok=%v lat=%v with %d bytes, want a zero-cost miss", ok, lat, len(val))
+		}
+	}
+	before := map[Op]uint64{OpGet: cli.PipelineStats(OpGet).Issued, OpSet: cli.PipelineStats(OpSet).Issued}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"Set", func(t *testing.T) {
+			lat, ok := cli.Set(key, big)
+			refused(t, lat, ok)
+		}},
+		{"SetAsync", func(t *testing.T) {
+			var lat Duration = -1
+			var ok bool
+			async(t, func(done *bool) {
+				cli.SetAsync(key, big, func(l Duration, acked bool) { lat, ok, *done = l, acked, true })
+			})
+			refused(t, lat, ok)
+		}},
+		{"Get", func(t *testing.T) {
+			val, lat, ok := cli.Get(key, max+1)
+			notFound(t, val, lat, ok)
+		}},
+		{"GetAsync", func(t *testing.T) {
+			var val []byte
+			var lat Duration = -1
+			var ok bool
+			async(t, func(done *bool) {
+				cli.GetAsync(key, max+1, func(v []byte, l Duration, hit bool) { val, lat, ok, *done = v, l, hit, true })
+			})
+			notFound(t, val, lat, ok)
+		}},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+	for op, n := range before {
+		if got := cli.PipelineStats(op).Issued; got != n {
+			t.Fatalf("%v pipeline issued %d requests for oversized calls", op, got-n)
+		}
+	}
+	if val, _, ok := cli.Get(key, 64); !ok || !bytes.Equal(val, Value(key, 64)) {
+		t.Fatal("refused oversized writes disturbed the stored value")
+	}
+}
+
 // Overwriting through the fabric repoints the bucket at the fresh
 // staging extent: the get returns the new bytes, not the old.
 func TestClientSetOverwrite(t *testing.T) {

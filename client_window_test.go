@@ -198,8 +198,8 @@ func TestWindowConvergesFromOversizedStart(t *testing.T) {
 	if cs.EcnCuts != 0 {
 		t.Fatalf("%d ECN cuts with ECN disabled; cuts must be timeout-attributed", cs.EcnCuts)
 	}
-	if cs.Wedged != 0 {
-		t.Fatalf("%d slots wedged by ordinary misses", cs.Wedged)
+	if st.Wedged != 0 {
+		t.Fatalf("%d slots wedged by ordinary misses", st.Wedged)
 	}
 	if _, _, ok := cli.Get(1, 64); !ok {
 		t.Fatal("hit failed after the window floored")
@@ -259,10 +259,14 @@ func TestPipelineStatsDisjointAccounting(t *testing.T) {
 
 // Refactor safety for the unified pipeline: with the window pinned
 // (explicitly or by default, knobs ignored either way) the same seeded
-// workload is bit-identical run to run — counters and summed hit
-// latency alike.
+// workload is bit-identical run to run — client-wide and per-op
+// counters and summed hit latency alike.
 func TestPinnedWindowDeterminism(t *testing.T) {
-	run := func(cfg *WindowConfig) (ClientStats, Duration) {
+	type counters struct {
+		client ClientStats
+		pipes  [4]PipelineStats // indexed by Op
+	}
+	run := func(cfg *WindowConfig) (counters, Duration) {
 		tb := NewTestbed()
 		srv := tb.NewServer()
 		table := srv.NewHashTable(1024)
@@ -291,7 +295,11 @@ func TestPinnedWindowDeterminism(t *testing.T) {
 		if st := cli.PipelineStats(OpGet); st.Window != 8 {
 			t.Fatalf("pinned window %d, want depth 8", st.Window)
 		}
-		return cli.Stats(), total
+		c := counters{client: cli.Stats()}
+		for _, op := range []Op{OpGet, OpSet, OpDelete, OpProbe} {
+			c.pipes[op] = cli.PipelineStats(op)
+		}
+		return c, total
 	}
 
 	base, latBase := run(nil)
@@ -307,7 +315,7 @@ func TestPinnedWindowDeterminism(t *testing.T) {
 		t.Fatalf("pinned window honored AIMD knobs:\n%+v lat %v\n%+v lat %v",
 			base, latBase, knobs, latKnobs)
 	}
-	if base.WindowCuts != 0 || base.EcnCuts != 0 {
-		t.Fatalf("pinned run recorded cuts: %d/%d", base.WindowCuts, base.EcnCuts)
+	if base.client.WindowCuts != 0 || base.client.EcnCuts != 0 {
+		t.Fatalf("pinned run recorded cuts: %d/%d", base.client.WindowCuts, base.client.EcnCuts)
 	}
 }

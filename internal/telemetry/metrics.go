@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"sort"
 
 	"repro/internal/sim"
@@ -8,20 +9,22 @@ import (
 
 // Counter is a monotonically increasing uint64. A nil *Counter is a
 // valid no-op sink, so subsystems can hold counters unconditionally
-// and callers that never registered one pay nothing.
-type Counter struct{ v uint64 }
+// and callers that never registered one pay nothing. A *uint64 struct
+// field converts to a *Counter, which is how CounterFields makes a
+// plain field the registry's storage.
+type Counter uint64
 
 // Inc adds one.
 func (c *Counter) Inc() {
 	if c != nil {
-		c.v++
+		*c++
 	}
 }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) {
 	if c != nil {
-		c.v += n
+		*c += Counter(n)
 	}
 }
 
@@ -30,7 +33,7 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	return uint64(*c)
 }
 
 // Gauge is a named sampled value backed by a closure, so queue depths
@@ -68,10 +71,58 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{}
+	c := new(Counter)
 	r.counters[name] = c
 	r.counterNames = append(r.counterNames, name)
 	return c
+}
+
+// CounterFields registers every `metric:"<name>"`-tagged uint64 field
+// of the struct ptr points at as the counter prefix+name, the field
+// itself serving as the counter's storage: incrementing the field is
+// incrementing the exported counter. Re-registering a name (a shard
+// drained and re-added under the same id) seeds the new field from
+// the old counter, so exported counts stay monotone. No-op on a nil
+// registry.
+func (r *Registry) CounterFields(prefix string, ptr any) {
+	if r == nil {
+		return
+	}
+	v := reflect.ValueOf(ptr).Elem()
+	for i, t := 0, v.Type(); i < t.NumField(); i++ {
+		tag, ok := t.Field(i).Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		c := (*Counter)(v.Field(i).Addr().Interface().(*uint64))
+		name := prefix + tag
+		if old, ok := r.counters[name]; ok {
+			*c = *old
+		} else {
+			r.counterNames = append(r.counterNames, name)
+		}
+		r.counters[name] = c
+	}
+}
+
+// AddFields adds every unsigned integer field of src into dst,
+// recursing through nested and embedded structs; other fields are
+// left alone. It turns per-part stats into their total without a
+// hand-written line per field. T's fields must be exported.
+func AddFields[T any](dst, src *T) {
+	addFields(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem())
+}
+
+func addFields(dst, src reflect.Value) {
+	for i := 0; i < dst.NumField(); i++ {
+		d, s := dst.Field(i), src.Field(i)
+		switch {
+		case d.Kind() == reflect.Struct:
+			addFields(d, s)
+		case d.CanUint():
+			d.SetUint(d.Uint() + s.Uint())
+		}
+	}
 }
 
 // Gauge registers a sampled gauge. No-op on a nil registry.

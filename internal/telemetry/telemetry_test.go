@@ -160,6 +160,79 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// CounterFields binds each tagged field as its counter's storage, and a
+// re-registered name continues from the old count.
+func TestRegistryCounterFields(t *testing.T) {
+	type counters struct {
+		Sets    uint64 `metric:"sets"`
+		Gets    uint64 `metric:"gets"`
+		Scratch uint64 // untagged: not exported
+	}
+	r := NewRegistry()
+	var a counters
+	r.CounterFields("shard1/", &a)
+	a.Sets += 3
+	a.Gets++
+	a.Scratch = 9
+	if r.Counter("shard1/sets") != (*Counter)(&a.Sets) {
+		t.Fatal("tagged field is not the registered counter's storage")
+	}
+	got := map[string]float64{}
+	for _, m := range r.Snapshot() {
+		got[m.Name] = m.Value
+	}
+	if len(got) != 2 || got["shard1/sets"] != 3 || got["shard1/gets"] != 1 {
+		t.Fatalf("snapshot %v, want shard1/sets=3 shard1/gets=1 only", got)
+	}
+
+	// Same prefix again (a shard re-added under its old id): the new
+	// struct is seeded from the old counts and takes over the names.
+	var b counters
+	r.CounterFields("shard1/", &b)
+	if b.Sets != 3 || b.Gets != 1 {
+		t.Fatalf("re-registered fields seeded %d/%d, want 3/1", b.Sets, b.Gets)
+	}
+	b.Sets++
+	a.Sets += 100 // the retired struct no longer feeds the registry
+	if v := r.Counter("shard1/sets").Value(); v != 4 {
+		t.Fatalf("shard1/sets = %d after rejoin, want 4", v)
+	}
+	if n := len(r.Snapshot()); n != 2 {
+		t.Fatalf("re-registration duplicated names: %d metrics", n)
+	}
+
+	var nr *Registry
+	nr.CounterFields("x/", &b) // nil registry: no-op
+}
+
+// AddFields sums unsigned fields through embedded and nested structs
+// and leaves everything else alone.
+func TestAddFields(t *testing.T) {
+	type Inner struct{ A, B uint64 }
+	type stats struct {
+		ID string
+		Inner
+		Nested struct{ C uint32 }
+		Ratio  float64
+	}
+	total := stats{ID: "fleet", Ratio: 0.5}
+	parts := []stats{
+		{ID: "s0", Inner: Inner{A: 1, B: 2}, Ratio: 1},
+		{ID: "s1", Inner: Inner{A: 10, B: 20}, Ratio: 1},
+	}
+	parts[0].Nested.C = 3
+	parts[1].Nested.C = 5
+	for i := range parts {
+		AddFields(&total, &parts[i])
+	}
+	if total.A != 11 || total.B != 22 || total.Nested.C != 8 {
+		t.Fatalf("sums A=%d B=%d C=%d, want 11/22/8", total.A, total.B, total.Nested.C)
+	}
+	if total.ID != "fleet" || total.Ratio != 0.5 {
+		t.Fatalf("non-integer fields touched: %+v", total)
+	}
+}
+
 func TestBottleneck(t *testing.T) {
 	rs := []ResourceUtil{
 		{Name: "shard0/port0/pu0", Util: 0.42},

@@ -314,22 +314,10 @@ type serviceShard struct {
 	// (extent.SetNoReclaim), so every allocation path is uniform.
 	arena *extent.Arena
 
-	// Per-shard counters live in the service's metrics registry under
-	// "<id>/<name>"; Stats() reads them back instead of hand-plumbed
-	// uint64 fields.
-	sets, spills, gets *telemetry.Counter
-	rebuilds           *telemetry.Counter // client reconnects after process crashes
-
-	fabricSets, hostSets                    *telemetry.Counter
-	dels, fabricDels, hostDels              *telemetry.Counter
-	hintsQueued, hintsApplied, hintsDropped *telemetry.Counter
-	compactPasses, compactSkips             *telemetry.Counter
-	compactMoved, compactMovedBytes         *telemetry.Counter
-	compactArmed                            bool
-
-	repairsQueued, repairsApplied     *telemetry.Counter
-	repairsSuperseded, repairsDropped *telemetry.Counter
-	aeRepairs                         *telemetry.Counter // repairs the sweeper enqueued for this owner
+	// ctr holds the shard's live counters; each field is the registry's
+	// storage for "<id>/<tag>" (initMetrics).
+	ctr          ShardCounters
+	compactArmed bool
 
 	// getLat accumulates hit latency for gets this shard served (a
 	// failover hit carries the timeouts spent discovering dead owners).
@@ -340,18 +328,7 @@ type serviceShard struct {
 
 // initMetrics registers the shard's counters under its id.
 func (sh *serviceShard) initMetrics(reg *telemetry.Registry) {
-	c := func(name string) *telemetry.Counter { return reg.Counter(sh.id + "/" + name) }
-	sh.sets, sh.spills, sh.gets = c("sets"), c("spills"), c("gets")
-	sh.rebuilds = c("rebuilds")
-	sh.fabricSets, sh.hostSets = c("fabric_sets"), c("host_sets")
-	sh.dels, sh.fabricDels, sh.hostDels = c("dels"), c("fabric_dels"), c("host_dels")
-	sh.hintsQueued, sh.hintsApplied, sh.hintsDropped =
-		c("hints_queued"), c("hints_applied"), c("hints_dropped")
-	sh.compactPasses, sh.compactSkips = c("compact_passes"), c("compact_skips")
-	sh.compactMoved, sh.compactMovedBytes = c("compact_moved"), c("compact_moved_bytes")
-	sh.repairsQueued, sh.repairsApplied = c("repairs_queued"), c("repairs_applied")
-	sh.repairsSuperseded, sh.repairsDropped = c("repairs_superseded"), c("repairs_dropped")
-	sh.aeRepairs = c("ae_repairs")
+	reg.CounterFields(sh.id+"/", &sh.ctr)
 	sh.getLat = reg.Histogram(sh.id + "/get_lat")
 }
 
@@ -397,7 +374,7 @@ func (s *Service) noteOwnerMiss(sh *serviceShard) {
 	if sh.consecMiss >= s.cfg.SuspectAfter {
 		now := s.tb.Now()
 		if !sh.suspect(now) {
-			s.suspects.Inc()
+			s.ctr.Suspects++
 		}
 		sh.suspectUntil = now + s.cfg.SuspectFor
 	}
@@ -489,33 +466,9 @@ type Service struct {
 	cacheGen uint64
 	migLog   []MigrationSummary
 
-	// Service-level counters live in reg under "svc/<name>".
-	hits, misses        *telemetry.Counter
-	retries, cacheHits  *telemetry.Counter
-	setOps, quorumFails *telemetry.Counter
-	delOps              *telemetry.Counter
-
-	probes, probeSkews     *telemetry.Counter
-	aePasses, aeSegsDiffed *telemetry.Counter
-	aeKeysChecked          *telemetry.Counter
-
-	// Admission-control counters: gets routed past an overloaded owner,
-	// and gets/writes refused outright because no owner could admit them.
-	deferredGets         *telemetry.Counter
-	shedGets, shedWrites *telemetry.Counter
-
-	// suspects counts healthy-to-suspected transitions across the fleet
-	// — the sentinel's crash signal (a timeout burst that trips the
-	// consecutive-miss threshold on some owner).
-	suspects *telemetry.Counter
-
-	// Resharding counters: owner copies the migrator applied, moving
-	// keys already converged when their turn came, sealed segments,
-	// copies abandoned to the repair queue, and hints redirected off a
-	// draining shard.
-	migKeysMoved, migKeysSkipped *telemetry.Counter
-	migSegsSealed, migCopyFails  *telemetry.Counter
-	migHintsRedirected           *telemetry.Counter
+	// ctr holds the service-level counters; each field is the
+	// registry's storage for "svc/<tag>" (initMetrics).
+	ctr ServiceCounters
 
 	reg *telemetry.Registry // metrics registry (counters, queue-depth gauges)
 	tr  *telemetry.Tracer   // nil = tracing disabled
@@ -550,21 +503,7 @@ type Service struct {
 // gauges.
 func (s *Service) initMetrics() {
 	s.reg = telemetry.NewRegistry()
-	c := func(name string) *telemetry.Counter { return s.reg.Counter("svc/" + name) }
-	s.hits, s.misses = c("hits"), c("misses")
-	s.retries, s.cacheHits = c("retries"), c("cache_hits")
-	s.setOps, s.quorumFails = c("set_ops"), c("quorum_fails")
-	s.delOps = c("del_ops")
-	s.probes, s.probeSkews = c("probes"), c("probe_skews")
-	s.aePasses, s.aeSegsDiffed = c("ae_passes"), c("ae_segs_diffed")
-	s.aeKeysChecked = c("ae_keys_checked")
-	s.deferredGets = c("deferred_gets")
-	s.shedGets, s.shedWrites = c("shed_gets"), c("shed_writes")
-	s.suspects = c("suspects")
-	s.migKeysMoved, s.migKeysSkipped = c("mig_keys_moved"), c("mig_keys_skipped")
-	s.migSegsSealed, s.migCopyFails = c("mig_segs_sealed"), c("mig_copy_fails")
-	s.migHintsRedirected = c("mig_hints_redirected")
-
+	s.reg.CounterFields("svc/", &s.ctr)
 	s.reg.Gauge("svc/hints_pending", func() float64 {
 		n := 0
 		for _, sh := range s.order {
@@ -908,7 +847,7 @@ func (s *Service) Set(key uint64, value []byte) error {
 const MaxKicks = 16
 
 func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
-	sh.sets.Inc()
+	sh.ctr.Sets++
 	t := sh.table.table
 	m := sh.srv.node.Mem
 	n := uint64(len(value))
@@ -977,7 +916,7 @@ func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 		if k, _, _, ok := t.EntryAt(t.Hash(key, 0)); !ok || k == key {
 			return t.InsertAtV(key, valAddr, valLen, ver, 0, 0)
 		}
-		sh.spills.Inc()
+		sh.ctr.Spills++
 		return t.InsertV(key, valAddr, valLen, ver)
 	}
 	// The kick walk records every displacement so a failed spill can be
@@ -1045,7 +984,7 @@ func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 		}
 		return err
 	}
-	sh.spills.Inc()
+	sh.ctr.Spills++
 	return nil
 }
 
@@ -1171,7 +1110,7 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 	if valLen > s.cfg.MaxValLen {
 		// No client response buffer can land it, and no write can have
 		// stored it: not found, after a zero-cost hop.
-		s.misses.Inc()
+		s.ctr.Misses++
 		s.tb.clu.Eng.After(0, func() { cb(nil, 0, false) })
 		return
 	}
@@ -1184,8 +1123,8 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 	var epoch uint64
 	if s.cache != nil {
 		if v, ok := s.cache[key]; ok && uint64(len(v)) >= valLen {
-			s.cacheHits.Inc()
-			s.hits.Inc()
+			s.ctr.CacheHits++
+			s.ctr.Hits++
 			val := v[:valLen]
 			s.tb.clu.Eng.After(CacheHitLat, func() {
 				s.tr.Instant("coordinator", "cache-hit", op)
@@ -1207,7 +1146,7 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 	if len(order) == 0 {
 		// Empty ring: nothing owns the key. Unreachable while DrainShard
 		// refuses to drain the last shard; kept as a miss, not a panic.
-		s.misses.Inc()
+		s.ctr.Misses++
 		s.tr.OpEnd(op, "get")
 		s.tb.clu.Eng.After(0, func() { cb(nil, 0, false) })
 		return
@@ -1257,13 +1196,13 @@ func (s *Service) tryGet(key, valLen uint64, order []*serviceShard, i int, spent
 	if s.overloaded(sh) {
 		if i+1 < len(order) {
 			// Defer: some other replica owner may still have headroom.
-			s.deferredGets.Inc()
+			s.ctr.DeferredGets++
 			s.tryGet(key, valLen, order, i+1, spent, began, epoch, gen, op, cb)
 			return
 		}
 		// Every owner is saturated: shed instead of stacking a request
 		// that would only time out and burn more PU cycles re-running.
-		s.shedGets.Inc()
+		s.ctr.ShedGets++
 		if s.tr.Enabled() {
 			s.tr.Instant(sh.id, "shed:get", op)
 		}
@@ -1271,7 +1210,7 @@ func (s *Service) tryGet(key, valLen uint64, order []*serviceShard, i int, spent
 		s.tb.clu.Eng.After(0, func() { cb(nil, spent, false) })
 		return
 	}
-	sh.gets.Inc()
+	sh.ctr.Gets++
 	cli := sh.clients[sh.rr%len(sh.clients)]
 	sh.rr++
 	if s.tr.Enabled() {
@@ -1286,7 +1225,7 @@ func (s *Service) tryGet(key, valLen uint64, order []*serviceShard, i int, spent
 		if ok {
 			sh.consecMiss = 0
 			sh.suspectUntil = 0
-			s.hits.Inc()
+			s.ctr.Hits++
 			sh.getLat.Add(lat)
 			s.maybeCache(key, valLen, val, epoch, gen)
 			// A hit proves the shard live: if handoff hints piled up
@@ -1312,11 +1251,11 @@ func (s *Service) tryGet(key, valLen uint64, order []*serviceShard, i int, spent
 			s.noteOwnerMiss(sh)
 		}
 		if i+1 < len(order) {
-			s.retries.Inc()
+			s.ctr.Retries++
 			s.tryGet(key, valLen, order, i+1, lat, began, epoch, gen, op, cb)
 			return
 		}
-		s.misses.Inc()
+		s.ctr.Misses++
 		s.tr.OpEnd(op, "get")
 		s.recordGetReceipt(cli, began)
 		// Miss-path read-repair: a miss on every owner is itself a
@@ -1407,7 +1346,7 @@ func (s *Service) CrashShard(i int, k failure.Kind, at Duration) {
 // time out (and fail over) normally; the old connection state is
 // simply abandoned, as with real RC QPs in error state.
 func (s *Service) reconnect(sh *serviceShard) {
-	sh.rebuilds.Inc()
+	sh.ctr.Rebuilds++
 	sh.clients = sh.clients[:0]
 	for _, cn := range sh.cnodes {
 		sh.clients = append(sh.clients, s.newShardClient(sh, cn))
@@ -1426,102 +1365,98 @@ func (s *Service) Flush() {
 	}
 }
 
-// ShardStats is one shard's counters.
-type ShardStats struct {
-	ID       string
-	Sets     uint64 // owner writes applied (fabric acks + host path + drained hints)
-	Spills   uint64 // keys resident but NIC-unreachable
-	Gets     uint64 // get attempts routed here (failover retries included)
-	Rebuilds uint64 // client reconnects after process crashes
+// ShardCounters are one shard's live counters. Each field is the
+// registry's storage for the counter "<shard id>/<tag>", so adding a
+// counter is adding a tagged field (telemetry.Registry.CounterFields).
+type ShardCounters struct {
+	Sets     uint64 `metric:"sets"`     // owner writes applied (fabric acks + host path + drained hints)
+	Spills   uint64 `metric:"spills"`   // keys resident but NIC-unreachable
+	Gets     uint64 `metric:"gets"`     // get attempts routed here (failover retries included)
+	Rebuilds uint64 `metric:"rebuilds"` // client reconnects after process crashes
 
-	FabricSets   uint64 // owner writes attempted through the NIC claim chain
-	HostSets     uint64 // owner writes that fell back to the host CPU (kicks, spilled residents, claim races)
-	HintsPending uint64 // handoff hints currently queued for this owner
-	HintsQueued  uint64 // hints ever queued
-	HintsApplied uint64 // hints delivered on reconnect (exactly once each)
-	HintsDropped uint64 // hints superseded by a newer write before draining
+	FabricSets   uint64 `metric:"fabric_sets"`   // owner writes attempted through the NIC claim chain
+	HostSets     uint64 `metric:"host_sets"`     // owner writes that fell back to the host CPU (kicks, spilled residents, claim races)
+	HintsQueued  uint64 `metric:"hints_queued"`  // hints ever queued
+	HintsApplied uint64 `metric:"hints_applied"` // hints delivered on reconnect (exactly once each)
+	HintsDropped uint64 `metric:"hints_dropped"` // hints superseded by a newer write before draining
 
-	Deletes       uint64 // owner deletes applied (fabric + host + trivial absents)
-	FabricDeletes uint64 // owner deletes attempted through the NIC tombstone chain
-	HostDeletes   uint64 // owner deletes that fell back to the host CPU
-	GCFreed       uint64 // to-free ring extents returned to the arena
-	GCStale       uint64 // ring entries whose extent was already gone
-	CompactPasses uint64 // compaction ticks that ran on this shard
-	CompactMoves  uint64 // extents relocated by compaction
-	CompactBytes  uint64 // capacity bytes relocated by compaction
-	CompactSkips  uint64 // relocations declined (busy keys, stale records)
+	Deletes       uint64 `metric:"dels"`                // owner deletes applied (fabric + host + trivial absents)
+	FabricDeletes uint64 `metric:"fabric_dels"`         // owner deletes attempted through the NIC tombstone chain
+	HostDeletes   uint64 `metric:"host_dels"`           // owner deletes that fell back to the host CPU
+	CompactPasses uint64 `metric:"compact_passes"`      // compaction ticks that ran on this shard
+	CompactMoves  uint64 `metric:"compact_moved"`       // extents relocated by compaction
+	CompactBytes  uint64 `metric:"compact_moved_bytes"` // capacity bytes relocated by compaction
+	CompactSkips  uint64 `metric:"compact_skips"`       // relocations declined (busy keys, stale records)
 
-	RepairsQueued     uint64 // repair records enqueued for this owner
-	RepairsApplied    uint64 // repairs that rolled this owner forward
-	RepairsSuperseded uint64 // repairs satisfied before applying (owner caught up)
-	RepairsDropped    uint64 // repairs abandoned after bounded retries
-	AERepairs         uint64 // repairs the anti-entropy sweeper found for this owner
-	ArenaLive         uint64 // live extent bytes in the shard's arena
-	ArenaPeakLive     uint64 // high-water live bytes (working-set size)
-	ArenaFoot         uint64 // bytes of server memory the arena holds
-	ArenaPeak         uint64 // high-water arena footprint
+	RepairsQueued     uint64 `metric:"repairs_queued"`     // repair records enqueued for this owner
+	RepairsApplied    uint64 `metric:"repairs_applied"`    // repairs that rolled this owner forward
+	RepairsSuperseded uint64 `metric:"repairs_superseded"` // repairs satisfied before applying (owner caught up)
+	RepairsDropped    uint64 `metric:"repairs_dropped"`    // repairs abandoned after bounded retries
+	AERepairs         uint64 `metric:"ae_repairs"`         // repairs the anti-entropy sweeper found for this owner
 }
 
-// ServiceStats aggregates service counters.
+// ShardStats is one shard's counters plus the values read at snapshot
+// time.
+type ShardStats struct {
+	ID string
+	ShardCounters
+
+	HintsPending  uint64 // handoff hints currently queued for this owner
+	GCFreed       uint64 // to-free ring extents returned to the arena
+	GCStale       uint64 // ring entries whose extent was already gone
+	ArenaLive     uint64 // live extent bytes in the shard's arena
+	ArenaPeakLive uint64 // high-water live bytes (working-set size)
+	ArenaFoot     uint64 // bytes of server memory the arena holds
+	ArenaPeak     uint64 // high-water arena footprint
+}
+
+// ServiceCounters are the service-level live counters. Each field is
+// the registry's storage for the counter "svc/<tag>".
+type ServiceCounters struct {
+	Hits      uint64 `metric:"hits"`
+	Misses    uint64 `metric:"misses"`
+	Retries   uint64 `metric:"retries"`    // failover attempts beyond each get's first owner
+	CacheHits uint64 `metric:"cache_hits"` // gets served from the client-side hot-key cache
+
+	DeferredGets uint64 `metric:"deferred_gets"` // gets routed past an overloaded owner (admission)
+	ShedGets     uint64 `metric:"shed_gets"`     // gets refused: every owner overloaded
+	ShedWrites   uint64 `metric:"shed_writes"`   // writes/deletes refused with ErrOverload
+	// Suspects counts healthy-to-suspected transitions across the
+	// fleet — the sentinel's crash signal (a timeout burst that trips
+	// the consecutive-miss threshold on some owner).
+	Suspects uint64 `metric:"suspects"`
+
+	SetOps      uint64 `metric:"set_ops"`      // client-visible writes issued (before replication fan-out)
+	DelOps      uint64 `metric:"del_ops"`      // client-visible deletes issued
+	QuorumFails uint64 `metric:"quorum_fails"` // writes/deletes that failed their W-of-N quorum
+
+	MigKeysMoved       uint64 `metric:"mig_keys_moved"`       // owner copies the resharding migrator applied
+	MigKeysSkipped     uint64 `metric:"mig_keys_skipped"`     // moving keys already converged when their turn came
+	MigSegsSealed      uint64 `metric:"mig_segs_sealed"`      // bucket segments sealed across all migrations
+	MigCopyFails       uint64 `metric:"mig_copy_fails"`       // migrator copies abandoned to the repair queue
+	MigHintsRedirected uint64 `metric:"mig_hints_redirected"` // hints redirected off a draining shard
+
+	Probes        uint64 `metric:"probes"`          // version probes issued on replicated hits
+	ProbeSkews    uint64 `metric:"probe_skews"`     // probes (and host fallbacks) that found version skew
+	AEPasses      uint64 `metric:"ae_passes"`       // anti-entropy sweep ticks that ran
+	AESegsDiffed  uint64 `metric:"ae_segs_diffed"`  // segments whose digests disagreed
+	AEKeysChecked uint64 `metric:"ae_keys_checked"` // per-key comparisons inside flagged segments
+}
+
+// ServiceStats aggregates service counters. The embedded ShardStats
+// is the fleet total: every field summed over Shards.
 type ServiceStats struct {
+	ServiceCounters
+	ShardStats
+
 	Shards      []ShardStats
-	Sets        uint64
-	Spills      uint64
-	Gets        uint64
-	Hits        uint64
-	Misses      uint64
-	Retries     uint64 // failover attempts beyond each get's first owner
-	CacheHits   uint64 // gets served from the client-side hot-key cache
 	MaxInFlight int    // high-water mark of overlapping gets, any client
+	WindowCuts  uint64 // AIMD multiplicative decreases, all pipelines
+	EcnCuts     uint64 // the subset triggered by ECN backlog marks
 
-	DeferredGets uint64 // gets routed past an overloaded owner (admission)
-	ShedGets     uint64 // gets refused: every owner overloaded
-	ShedWrites   uint64 // writes/deletes refused with ErrOverload
-	WindowCuts   uint64 // AIMD multiplicative decreases, all pipelines
-	EcnCuts      uint64 // the subset triggered by ECN backlog marks
-
-	SetOps       uint64 // client-visible writes issued (before replication fan-out)
-	DelOps       uint64 // client-visible deletes issued
-	QuorumFails  uint64 // writes/deletes that failed their W-of-N quorum
-	FabricSets   uint64
-	HostSets     uint64
-	HintsPending uint64
-	HintsQueued  uint64
-	HintsApplied uint64
-	HintsDropped uint64
-
-	Deletes       uint64
-	FabricDeletes uint64
-	HostDeletes   uint64
-	GCFreed       uint64
-	GCStale       uint64
-	CompactPasses uint64
-	CompactMoves  uint64
-	CompactBytes  uint64
-	ArenaLive     uint64 // live extent bytes across all shard arenas
-	ArenaPeakLive uint64 // summed high-water live bytes
-	ArenaFoot     uint64 // arena footprint across all shards
-	ArenaPeak     uint64 // summed high-water footprints
-
-	Migrations         int    // completed reshardings (joins + drains)
-	MigratingBuckets   int    // unsealed bucket segments of the active migration
-	MigKeysMoved       uint64 // owner copies the resharding migrator applied
-	MigKeysSkipped     uint64 // moving keys already converged when their turn came
-	MigSegsSealed      uint64 // bucket segments sealed across all migrations
-	MigCopyFails       uint64 // migrator copies abandoned to the repair queue
-	MigHintsRedirected uint64 // hints redirected off a draining shard
-
-	Probes            uint64 // version probes issued on replicated hits
-	ProbeSkews        uint64 // probes (and host fallbacks) that found version skew
-	RepairsQueued     uint64
-	RepairsApplied    uint64
-	RepairsSuperseded uint64
-	RepairsDropped    uint64
-	RepairsPending    uint64 // records still in the queue
-	AEPasses          uint64 // anti-entropy sweep ticks that ran
-	AESegsDiffed      uint64 // segments whose digests disagreed
-	AEKeysChecked     uint64 // per-key comparisons inside flagged segments
-	AERepairs         uint64 // repairs the sweeper enqueued
+	RepairsPending   uint64 // records still in the repair queue
+	Migrations       int    // completed reshardings (joins + drains)
+	MigratingBuckets int    // unsealed bucket segments of the active migration
 
 	// Resources lists every serialized NIC unit across the shard
 	// fleet (PUs, fetch units, links, PCIe, atomic units) with its
@@ -1544,93 +1479,42 @@ type ServiceStats struct {
 	Anomalies []telemetry.Anomaly
 }
 
-// Stats snapshots the service counters.
 // MarkUtilization starts the utilization measurement window: Stats
 // reports each NIC resource's busy fraction since the last mark (or
 // since t=0 if never marked). Call it after preloading a service so
 // the bottleneck report reflects the workload, not the setup phase's
 // idle fabric.
 func (s *Service) MarkUtilization() {
-	now := s.tb.Now()
-	var rs []telemetry.ResourceUtil
-	for _, sh := range s.order {
-		rs = sh.srv.node.Dev.ResourceUtils(rs, now)
-	}
+	s.utilBase = nil
+	rs := s.resourceReport()
 	s.utilBase = make(map[string]telemetry.ResourceUtil, len(rs))
 	for _, r := range rs {
 		s.utilBase[r.Name] = r
 	}
-	s.utilMark = now
+	s.utilMark = s.tb.Now()
 }
 
+// Stats snapshots the service counters: a copy of the live counter
+// structs plus the values read at snapshot time, with the fleet total
+// summed over the shards in order.
 func (s *Service) Stats() ServiceStats {
-	out := ServiceStats{Hits: s.hits.Value(), Misses: s.misses.Value(),
-		Retries: s.retries.Value(), CacheHits: s.cacheHits.Value(),
-		SetOps: s.setOps.Value(), DelOps: s.delOps.Value(), QuorumFails: s.quorumFails.Value(),
-		Probes: s.probes.Value(), ProbeSkews: s.probeSkews.Value(),
-		RepairsPending: uint64(s.repq.Len()),
-		AEPasses:       s.aePasses.Value(), AESegsDiffed: s.aeSegsDiffed.Value(),
-		AEKeysChecked: s.aeKeysChecked.Value(),
-		DeferredGets:  s.deferredGets.Value(),
-		ShedGets:      s.shedGets.Value(), ShedWrites: s.shedWrites.Value(),
-		Migrations: len(s.migLog), MigratingBuckets: s.MigratingBuckets(),
-		MigKeysMoved: s.migKeysMoved.Value(), MigKeysSkipped: s.migKeysSkipped.Value(),
-		MigSegsSealed: s.migSegsSealed.Value(), MigCopyFails: s.migCopyFails.Value(),
-		MigHintsRedirected: s.migHintsRedirected.Value()}
+	out := ServiceStats{ServiceCounters: s.ctr, RepairsPending: uint64(s.repq.Len()),
+		Migrations: len(s.migLog), MigratingBuckets: s.MigratingBuckets()}
 	for _, sh := range s.order {
-		ss := ShardStats{ID: sh.id, Sets: sh.sets.Value(), Spills: sh.spills.Value(),
-			Gets: sh.gets.Value(), Rebuilds: sh.rebuilds.Value(),
-			FabricSets: sh.fabricSets.Value(), HostSets: sh.hostSets.Value(),
-			HintsPending: uint64(len(sh.hints)), HintsQueued: sh.hintsQueued.Value(),
-			HintsApplied: sh.hintsApplied.Value(), HintsDropped: sh.hintsDropped.Value(),
-			Deletes: sh.dels.Value(), FabricDeletes: sh.fabricDels.Value(), HostDeletes: sh.hostDels.Value(),
-			CompactPasses: sh.compactPasses.Value(), CompactSkips: sh.compactSkips.Value(),
-			CompactMoves: sh.compactMoved.Value(), CompactBytes: sh.compactMovedBytes.Value(),
-			RepairsQueued: sh.repairsQueued.Value(), RepairsApplied: sh.repairsApplied.Value(),
-			RepairsSuperseded: sh.repairsSuperseded.Value(), RepairsDropped: sh.repairsDropped.Value(),
-			AERepairs: sh.aeRepairs.Value()}
+		ast := sh.arena.Stats()
+		ss := ShardStats{ID: sh.id, ShardCounters: sh.ctr, HintsPending: uint64(len(sh.hints)),
+			ArenaLive: ast.LiveBytes, ArenaPeakLive: ast.PeakLive,
+			ArenaFoot: ast.Footprint, ArenaPeak: ast.Peak}
 		for _, cli := range sh.clients {
 			cs := cli.Stats()
 			ss.GCFreed += cs.GCFreed
 			ss.GCStale += cs.GCStale
-			if cs.MaxInFlight > out.MaxInFlight {
-				out.MaxInFlight = cs.MaxInFlight
-			}
 			out.WindowCuts += cs.WindowCuts
 			out.EcnCuts += cs.EcnCuts
+			out.MaxInFlight = max(out.MaxInFlight, cli.PipelineStats(OpGet).MaxInFlight)
 		}
-		ast := sh.arena.Stats()
-		ss.ArenaLive = ast.LiveBytes
-		ss.ArenaPeakLive = ast.PeakLive
-		ss.ArenaFoot = ast.Footprint
-		ss.ArenaPeak = ast.Peak
 		out.Shards = append(out.Shards, ss)
-		out.Sets += ss.Sets
-		out.Spills += ss.Spills
-		out.Gets += ss.Gets
-		out.FabricSets += ss.FabricSets
-		out.HostSets += ss.HostSets
-		out.HintsPending += ss.HintsPending
-		out.HintsQueued += ss.HintsQueued
-		out.HintsApplied += ss.HintsApplied
-		out.HintsDropped += ss.HintsDropped
-		out.Deletes += ss.Deletes
-		out.FabricDeletes += ss.FabricDeletes
-		out.HostDeletes += ss.HostDeletes
-		out.GCFreed += ss.GCFreed
-		out.GCStale += ss.GCStale
-		out.CompactPasses += ss.CompactPasses
-		out.CompactMoves += ss.CompactMoves
-		out.CompactBytes += ss.CompactBytes
-		out.ArenaLive += ss.ArenaLive
-		out.ArenaPeakLive += ss.ArenaPeakLive
-		out.ArenaFoot += ss.ArenaFoot
-		out.ArenaPeak += ss.ArenaPeak
-		out.RepairsQueued += ss.RepairsQueued
-		out.RepairsApplied += ss.RepairsApplied
-		out.RepairsSuperseded += ss.RepairsSuperseded
-		out.RepairsDropped += ss.RepairsDropped
-		out.AERepairs += ss.AERepairs
+		telemetry.AddFields(&out.ShardStats, &ss)
 	}
 	out.Resources = s.resourceReport()
 	if bn, ok := telemetry.Bottleneck(out.Resources); ok {

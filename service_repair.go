@@ -193,7 +193,7 @@ func (s *Service) DropHints() int {
 		for _, k := range keys {
 			h := sh.hints[k]
 			delete(sh.hints, k)
-			sh.hintsDropped.Inc()
+			sh.ctr.HintsDropped++
 			s.settleHint(h)
 			n++
 		}
@@ -245,7 +245,7 @@ func (s *Service) maybeReadRepair(key uint64, served *serviceShard, order []*ser
 		s.compareVersions(partner, key, servedVer)
 		return
 	}
-	s.probes.Inc()
+	s.ctr.Probes++
 	cli := partner.setClient(key)
 	pop := s.tr.OpBegin("probe", key)
 	s.tr.SetOp(pop)
@@ -255,7 +255,7 @@ func (s *Service) maybeReadRepair(key uint64, served *serviceShard, order []*ser
 			partner.consecMiss = 0
 			partner.suspectUntil = 0
 			if ver != servedVer {
-				s.probeSkews.Inc()
+				s.ctr.ProbeSkews++
 				s.scheduleSkewRepair(key)
 			}
 			return
@@ -280,7 +280,7 @@ func (s *Service) compareVersions(partner *serviceShard, key, servedVer uint64) 
 		return // neither side holds versioned state
 	}
 	if !ok || pv != servedVer {
-		s.probeSkews.Inc()
+		s.ctr.ProbeSkews++
 		s.scheduleSkewRepair(key)
 	}
 }
@@ -318,7 +318,7 @@ func (s *Service) queueRepair(sh *serviceShard, key, seq uint64) bool {
 	}
 	fresh := s.repq.Push(sh.id, key, seq)
 	if fresh {
-		sh.repairsQueued.Inc()
+		sh.ctr.RepairsQueued++
 		if s.tr.Enabled() {
 			s.tr.Instant("coordinator", "repair:"+sh.id, 0)
 		}
@@ -360,7 +360,7 @@ func (s *Service) repairTick() {
 func (s *Service) requeueRepair(sh *serviceShard, r *repair.Record) {
 	r.Attempts++
 	if r.Attempts >= RepairMaxAttempts {
-		sh.repairsDropped.Inc()
+		sh.ctr.RepairsDropped++
 		return
 	}
 	s.repq.Requeue(r, s.tb.Now()+s.repairBackoff(r.Attempts))
@@ -389,14 +389,14 @@ func (s *Service) applyRepair(r *repair.Record) {
 		if !has || winVer == 0 || (curOK && cur >= winVer) {
 			// Nothing to do: the owner caught up (a newer write, a
 			// drained hint, or an earlier repair landed first).
-			sh.repairsSuperseded.Inc()
+			sh.ctr.RepairsSuperseded++
 			s.setNext(sh, key)
 			return
 		}
 		finish := func(st ownerWriteStatus) {
 			switch st {
 			case ownerApplied:
-				sh.repairsApplied.Inc()
+				sh.ctr.RepairsApplied++
 				s.noteOwnerApplied(sh, winDel, key, winVer)
 				s.dropHint(sh, key, winVer)
 				// Satellite fix: a value cached from the stale owner
@@ -423,7 +423,7 @@ func (s *Service) applyRepair(r *repair.Record) {
 		// preserve bytes.
 		va, vl, liveOK := winner.table.table.Lookup(key)
 		if !liveOK {
-			sh.repairsSuperseded.Inc()
+			sh.ctr.RepairsSuperseded++
 			s.setNext(sh, key)
 			return
 		}
@@ -524,7 +524,7 @@ func (s *Service) sweepShard(sh *serviceShard) {
 		}
 		return
 	}
-	s.aePasses.Inc()
+	s.ctr.AEPasses++
 	segs := s.cfg.AntiEntropySegments
 	segsCompared := 0
 	type found struct {
@@ -559,7 +559,7 @@ func (s *Service) sweepShard(sh *serviceShard) {
 			if digA[g] == digB[g] {
 				continue
 			}
-			s.aeSegsDiffed.Inc()
+			s.ctr.AESegsDiffed++
 			// Per-key walk of the flagged segment: union both sides'
 			// keys, dedup, compare owner states.
 			seen := make(map[uint64]struct{})
@@ -572,7 +572,7 @@ func (s *Service) sweepShard(sh *serviceShard) {
 					if s.unsettled[e.key] > 0 {
 						continue // an in-flight write explains the skew
 					}
-					s.aeKeysChecked.Inc()
+					s.ctr.AEKeysChecked++
 					va, _, aok := s.ownerState(sh, e.key)
 					vb, _, bok := s.ownerState(partner, e.key)
 					switch {
@@ -600,7 +600,7 @@ func (s *Service) sweepShard(sh *serviceShard) {
 			// a key whose repair is already queued (in backoff, say) is
 			// not a new discovery.
 			if s.queueRepair(f.owner, f.key, f.seq) {
-				f.owner.aeRepairs.Inc()
+				f.owner.ctr.AERepairs++
 			}
 		}
 		if s.aeCleanRun < len(s.order) {

@@ -466,7 +466,7 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 	// owner's per-key slot and never rolls a replica backward.
 	winVer, _, _, has := s.winningState(key)
 	if !has || winVer == 0 {
-		s.migKeysSkipped.Inc()
+		s.ctr.MigKeysSkipped++
 		done()
 		return
 	}
@@ -478,7 +478,7 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 		}
 	}
 	if len(lagging) == 0 {
-		s.migKeysSkipped.Inc()
+		s.ctr.MigKeysSkipped++
 		done()
 		return
 	}
@@ -503,7 +503,7 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 			})
 			return
 		}
-		s.migCopyFails.Inc()
+		s.ctr.MigCopyFails++
 		if wv, _, _, ok := s.winningState(key); ok && wv > 0 {
 			for _, id := range s.owners(key) {
 				sh := s.shards[id]
@@ -538,7 +538,7 @@ func (s *Service) migrateCopy(key uint64, sh *serviceShard, done func(ok bool)) 
 		finish := func(st ownerWriteStatus) {
 			ok := st == ownerApplied
 			if ok {
-				s.migKeysMoved.Inc()
+				s.ctr.MigKeysMoved++
 				s.noteOwnerApplied(sh, winDel, key, winVer)
 				s.dropHint(sh, key, winVer)
 				// A value cached from a pre-change owner must not outlive
@@ -586,7 +586,7 @@ func (s *Service) sealSegment(m *migration, seg uint64) {
 	m.inFlight--
 	m.sealed[seg] = true
 	m.sealedN++
-	s.migSegsSealed.Inc()
+	s.ctr.MigSegsSealed++
 	for _, key := range m.segKeys[seg] {
 		if s.unsettled[key] > 0 {
 			continue
@@ -674,16 +674,16 @@ func (s *Service) redirectHints(from *serviceShard) {
 		}
 		if cur, ok := to.hints[k]; ok {
 			if cur.seq >= h.seq {
-				to.hintsDropped.Inc()
+				to.ctr.HintsDropped++
 				s.settleHint(h)
 				continue
 			}
-			to.hintsDropped.Inc()
+			to.ctr.HintsDropped++
 			s.settleHint(cur)
 		}
 		to.hints[k] = &hint{key: k, seq: h.seq, val: h.val, del: h.del, op: h.op}
-		to.hintsQueued.Inc()
-		s.migHintsRedirected.Inc()
+		to.ctr.HintsQueued++
+		s.ctr.MigHintsRedirected++
 		touched[to.id] = true
 	}
 	now := s.tb.Now()

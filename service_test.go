@@ -3,6 +3,8 @@ package redn
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/failure"
@@ -1458,5 +1460,154 @@ func TestServiceAntiEntropyConvergesWithoutReads(t *testing.T) {
 	}
 	if st.Probes != 0 {
 		t.Fatal("probes fired with ReadRepair disabled")
+	}
+}
+
+// flatFields flattens v's unsigned fields, walking embedded structs,
+// into name -> value.
+func flatFields(v reflect.Value, out map[string]uint64) {
+	for i := 0; i < v.NumField(); i++ {
+		f, sf := v.Field(i), v.Type().Field(i)
+		switch {
+		case sf.Anonymous:
+			flatFields(f, out)
+		case f.CanUint():
+			out[sf.Name] = f.Uint()
+		}
+	}
+}
+
+// checkStatsMatchRegistry asserts the two invariants of the counter
+// structs: every svc/* and live <shard>/* counter in the registry
+// equals the Stats() field carrying its tag (and no counter goes
+// untagged), and every fleet field is the sum over Stats().Shards.
+func checkStatsMatchRegistry(t *testing.T, s *Service) ServiceStats {
+	t.Helper()
+	st := s.Stats()
+	snap := map[string]uint64{}
+	for _, m := range s.Metrics().Snapshot() {
+		if m.Kind == "counter" {
+			snap[m.Name] = uint64(m.Value)
+		}
+	}
+	match := func(prefix string, ctr any) {
+		t.Helper()
+		v := reflect.ValueOf(ctr)
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			name := prefix + v.Type().Field(i).Tag.Get("metric")
+			got, ok := snap[name]
+			if !ok || got != v.Field(i).Uint() {
+				t.Fatalf("registry %s = %d (present %v), Stats field %s = %d",
+					name, got, ok, v.Type().Field(i).Name, v.Field(i).Uint())
+			}
+			n++
+		}
+		reg := 0
+		for name := range snap {
+			if strings.HasPrefix(name, prefix) {
+				reg++
+			}
+		}
+		if reg != n {
+			t.Fatalf("registry has %d %s* counters, Stats carries %d", reg, prefix, n)
+		}
+	}
+	match("svc/", st.ServiceCounters)
+	sum := map[string]uint64{}
+	for _, sh := range st.Shards {
+		match(sh.ID+"/", sh.ShardCounters)
+		fields := map[string]uint64{}
+		flatFields(reflect.ValueOf(sh), fields)
+		for name, v := range fields {
+			sum[name] += v
+		}
+	}
+	fleet := map[string]uint64{}
+	flatFields(reflect.ValueOf(st.ShardStats), fleet)
+	if len(fleet) == 0 || !reflect.DeepEqual(fleet, sum) {
+		t.Fatalf("fleet totals %v\n!= sum over shards %v", fleet, sum)
+	}
+	return st
+}
+
+// Stats() is a copy of the registry's storage, not a mirror of it:
+// through sets, deletes, a crash and recovery, a drain and a same-id
+// rejoin, every exported counter equals its Stats field, every fleet
+// total is the sum of the live shards, and the rejoined shard's
+// counters continue from where the drained one left off.
+func TestServiceStatsMatchRegistry(t *testing.T) {
+	s := NewServiceWith(ServiceConfig{
+		Shards: 4, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
+		Replicas: 2, WriteQuorum: 1, ReadRepair: true,
+		Buckets: 1 << 10, MaxValLen: 64,
+	})
+	keys := make([]uint64, 80)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+		if err := s.Set(keys[i], Value(keys[i], 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range keys[:10] {
+		s.DeleteAsync(k, nil)
+	}
+	for _, k := range keys {
+		s.GetAsync(k, 64, func([]byte, Duration, bool) {})
+	}
+	s.Flush()
+	s.Run()
+	checkStatsMatchRegistry(t, s)
+
+	// Crash an owner, write through the outage, recover.
+	s.CrashShard(1, failure.ProcessCrash, s.Now()+sim.Microsecond)
+	s.Testbed().RunFor(sim.Millisecond)
+	for _, k := range keys[10:40] {
+		s.SetAsync(k, Value(k+1000, 64), nil)
+	}
+	s.Flush()
+	s.Testbed().RunFor(4 * sim.Second)
+	st := checkStatsMatchRegistry(t, s)
+	if st.HintsQueued == 0 || st.Rebuilds == 0 || st.Deletes == 0 || st.Hits == 0 {
+		t.Fatalf("scenario exercised too little: hints %d rebuilds %d deletes %d hits %d",
+			st.HintsQueued, st.Rebuilds, st.Deletes, st.Hits)
+	}
+
+	// Drain a shard, then re-add it under the same id.
+	const id = "shard3"
+	if err := s.DrainShard(id); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	checkStatsMatchRegistry(t, s)
+	drained := map[string]float64{}
+	for _, m := range s.Metrics().Snapshot() {
+		if strings.HasPrefix(m.Name, id+"/") && m.Kind == "counter" {
+			drained[m.Name] = m.Value
+		}
+	}
+	if drained[id+"/sets"] == 0 {
+		t.Fatalf("drained shard never applied a write: %v", drained)
+	}
+	if err := s.AddShard(id); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range s.Metrics().Snapshot() {
+		if want, ok := drained[m.Name]; ok && m.Value != want {
+			t.Fatalf("%s = %v on rejoin, want it to continue from %v", m.Name, m.Value, want)
+		}
+	}
+	s.Run()
+	for _, k := range keys[10:] {
+		s.SetAsync(k, Value(k+2000, 64), nil)
+	}
+	s.Flush()
+	s.Run()
+	st = checkStatsMatchRegistry(t, s)
+	for _, sh := range st.Shards {
+		if sh.ID == id && float64(sh.Sets) <= drained[id+"/sets"] {
+			t.Fatalf("rejoined %s sets = %d, want more than the %v it had at the drain",
+				id, sh.Sets, drained[id+"/sets"])
+		}
 	}
 }

@@ -121,7 +121,7 @@ func (s *Service) admitWrite(key uint64, cb func(lat Duration, err error)) bool 
 	if admit >= s.cfg.WriteQuorum {
 		return true
 	}
-	s.shedWrites.Inc()
+	s.ctr.ShedWrites++
 	s.failWrite(cb, &ErrOverload{Key: key, Admit: admit, Need: s.cfg.WriteQuorum})
 	return false
 }
@@ -212,7 +212,7 @@ func (op *setOp) fail(s *Service) {
 	if !op.done && op.fails > op.owners-op.need {
 		op.done = true
 		s.tr.OpEnd(op.traceOp, op.kind.String())
-		s.quorumFails.Inc()
+		s.ctr.QuorumFails++
 		now := s.tb.Now()
 		if op.rcpt != nil {
 			// Quorum dead: no critical leg to adopt — the whole span
@@ -317,9 +317,9 @@ func (s *Service) writeAsync(kind Op, key uint64, value []byte, cb func(lat Dura
 	}
 	del := kind == OpDelete
 	if del {
-		s.delOps.Inc()
+		s.ctr.DelOps++
 	} else {
-		s.setOps.Inc()
+		s.ctr.SetOps++
 	}
 	s.nextSeq[key]++
 	seq := s.nextSeq[key]
@@ -471,11 +471,11 @@ const (
 
 // writeCounters returns one write kind's per-shard counters: owner
 // applies, fabric attempts and host fallbacks.
-func (sh *serviceShard) writeCounters(kind Op) (applied, fabric, host *telemetry.Counter) {
+func (sh *serviceShard) writeCounters(kind Op) (applied, fabric, host *uint64) {
 	if kind == OpDelete {
-		return sh.dels, sh.fabricDels, sh.hostDels
+		return &sh.ctr.Deletes, &sh.ctr.FabricDeletes, &sh.ctr.HostDeletes
 	}
-	return sh.sets, sh.fabricSets, sh.hostSets
+	return &sh.ctr.Sets, &sh.ctr.FabricSets, &sh.ctr.HostSets
 }
 
 // ownerWriteNow routes one owner write or delete: the NIC claim chain
@@ -505,7 +505,7 @@ func (s *Service) ownerWriteNow(sh *serviceShard, kind Op, key uint64, val []byt
 				// Nothing to retire here: the owner is already at the
 				// delete's end state. Applied, at a zero-cost hop.
 				s.tb.clu.Eng.After(0, func() {
-					applied.Inc()
+					*applied++
 					s.clearLegReceipt() // no measurable leg to adopt
 					done(ownerApplied)
 				})
@@ -523,7 +523,7 @@ func (s *Service) ownerWriteNow(sh *serviceShard, kind Op, key uint64, val []byt
 		s.hostWrite(sh, kind, key, val, ver, done)
 		return
 	}
-	fabricTries.Inc()
+	*fabricTries++
 	// An acked fabric set repoints the bucket at the chain's staging
 	// extent; the old extent — captured here, under the per-key write
 	// slot — is retired on the ack, after the read-grace period.
@@ -537,7 +537,7 @@ func (s *Service) ownerWriteNow(sh *serviceShard, kind Op, key uint64, val []byt
 		if ok {
 			sh.consecMiss = 0
 			sh.suspectUntil = 0
-			applied.Inc()
+			*applied++
 			if hadOld {
 				sh.retireExtent(oldVa)
 			}
@@ -661,7 +661,7 @@ func (sh *serviceShard) claimFor(key uint64) (core.SetClaim, bool) {
 // still applied: the owner is at the end state either way.
 func (s *Service) hostWrite(sh *serviceShard, kind Op, key uint64, val []byte, ver uint64, done func(st ownerWriteStatus)) {
 	applied, _, host := sh.writeCounters(kind)
-	host.Inc()
+	*host++
 	lat := HostSetLat
 	if kind == OpDelete {
 		lat = HostDeleteLat
@@ -674,7 +674,7 @@ func (s *Service) hostWrite(sh *serviceShard, kind Op, key uint64, val []byte, v
 		}
 		if kind == OpDelete {
 			sh.del(key, ver)
-			applied.Inc()
+			*applied++
 		} else if err := sh.set(key, val, ver); err != nil {
 			// The table itself refused (kick walk and neighborhoods
 			// exhausted): a definitive rejection, not unavailability.
@@ -700,7 +700,7 @@ func (s *Service) queueHint(sh *serviceShard, key uint64, val []byte, del bool, 
 	// drain completed while the write was in flight): there is no owner
 	// to hand off to, and the new owners carry the write — just settle.
 	if s.shards[sh.id] != sh {
-		sh.hintsDropped.Inc()
+		sh.ctr.HintsDropped++
 		op.settleOne(s)
 		return
 	}
@@ -709,22 +709,22 @@ func (s *Service) queueHint(sh *serviceShard, key uint64, val []byte, del bool, 
 	// them, and an acked write must survive its departure.
 	if s.draining(sh.id) {
 		if to := s.redirectTarget(key, sh); to != nil {
-			s.migHintsRedirected.Inc()
+			s.ctr.MigHintsRedirected++
 			s.queueHint(to, key, val, del, seq, op)
 			return
 		}
 	}
 	if cur, ok := sh.hints[key]; ok {
 		if cur.seq >= seq {
-			sh.hintsDropped.Inc()
+			sh.ctr.HintsDropped++
 			op.settleOne(s)
 			return
 		}
-		sh.hintsDropped.Inc()
+		sh.ctr.HintsDropped++
 		s.settleHint(cur)
 	}
 	sh.hints[key] = &hint{key: key, seq: seq, val: val, del: del, op: op}
-	sh.hintsQueued.Inc()
+	sh.ctr.HintsQueued++
 	if s.tr.Enabled() {
 		s.tr.Instant("coordinator", "hint:"+sh.id, op.traceOp)
 	}
@@ -735,7 +735,7 @@ func (s *Service) queueHint(sh *serviceShard, key uint64, val []byte, del bool, 
 func (s *Service) dropHint(sh *serviceShard, key, seq uint64) {
 	if cur, ok := sh.hints[key]; ok && cur.seq <= seq {
 		delete(sh.hints, key)
-		sh.hintsDropped.Inc()
+		sh.ctr.HintsDropped++
 		s.settleHint(cur)
 	}
 }
@@ -800,7 +800,7 @@ func (s *Service) drainHint(sh *serviceShard, key uint64) {
 				s.noteOwnerApplied(sh, h.del, key, h.seq)
 				if cur, still := sh.hints[key]; still && cur == h {
 					delete(sh.hints, key)
-					sh.hintsApplied.Inc()
+					sh.ctr.HintsApplied++
 					s.settleHint(h)
 				}
 			case ownerRejected:
@@ -808,7 +808,7 @@ func (s *Service) drainHint(sh *serviceShard, key uint64) {
 				// retrying forever would spin, so retire the hint.
 				if cur, still := sh.hints[key]; still && cur == h {
 					delete(sh.hints, key)
-					sh.hintsDropped.Inc()
+					sh.ctr.HintsDropped++
 					s.settleHint(h)
 				}
 			}
