@@ -42,8 +42,9 @@ type event struct {
 }
 
 // Tracer records simulation events for trace-event export. Create one
-// with NewTracer and plumb it through ServiceConfig; a nil Tracer is
-// the disabled state — all methods no-op without allocating.
+// with NewTracer and hand it to each layer's SetTracer (a redn service
+// builds and wires its own when ServiceConfig.Trace is set); a nil
+// Tracer is the disabled state — all methods no-op without allocating.
 //
 // An unbounded tracer (NewTracer) keeps every event — the right shape
 // for exporting a whole run. A ring tracer (NewRingTracer) keeps only

@@ -72,6 +72,20 @@ const (
 // staying under DefaultMissTimeout so shedding beats timing out.
 const DefaultAdmitBacklog = 100 * sim.Microsecond
 
+// adaptiveWindowStart is the adaptive window's initial size in slots
+// (capped at Pipeline). Starting at the full Pipeline depth would open
+// with a thundering herd the AIMD loop then has to pay for in
+// timeouts; starting modestly lets additive increase probe up to the
+// knee.
+const adaptiveWindowStart = 16
+
+// Simulated memory per service node: a server holds its table, arena
+// and offload rings, a client only its response buffers.
+const (
+	serverMemSize = 1 << 27
+	clientMemSize = 1 << 23
+)
+
 // ServiceConfig sizes a sharded RedN KV service.
 type ServiceConfig struct {
 	Shards          int        // server nodes, each with its own NIC and table
@@ -94,16 +108,9 @@ type ServiceConfig struct {
 
 	HullParent bool // crashed processes keep their RDMA resources (Fig 16)
 
-	SuspectAfter int      // consecutive timeouts before dodging a shard (0 = 4)
-	SuspectFor   Duration // circuit-breaker window (0 = 25ms)
-
-	Buckets      uint64 // hopscotch buckets per shard
-	MaxValLen    uint64 // largest value a get can return
-	MissTimeout  Duration
-	VirtualNodes int // ring points per shard
-
-	ServerMem uint64 // simulated bytes per server node
-	ClientMem uint64 // simulated bytes per client node
+	Buckets     uint64 // hopscotch buckets per shard
+	MaxValLen   uint64 // largest value a get can return
+	MissTimeout Duration
 
 	// SegmentSize is the extent arena's segment granularity per shard
 	// (0 = a power-of-two multiple of MaxValLen; see NewServiceWith).
@@ -153,34 +160,17 @@ type ServiceConfig struct {
 	// control instead of the fixed Pipeline-deep window: grow additively
 	// on clean acks, cut multiplicatively on timeout and on the ECN-like
 	// backlog watermark the NIC stamps into completions. Off, windows
-	// are pinned to Pipeline (the pre-adaptive fixed-K behavior).
+	// are pinned to Pipeline (the pre-adaptive fixed-K behavior). The
+	// window opens at 16 slots (capped at Pipeline).
 	AdaptiveWindow bool
-	// WindowBeta is the multiplicative-decrease factor (0 = 0.5).
-	WindowBeta float64
-	// WindowStart is the adaptive window's initial size (0 = 16, capped
-	// at Pipeline). Starting at the full Pipeline depth would open with
-	// a thundering herd the AIMD loop then has to pay for in timeouts;
-	// starting modestly lets additive increase probe up to the knee.
-	WindowStart int
-	// WindowEcnBacklog marks acks whose completion-stamped PU backlog
-	// exceeds it as congestion (0 = DefaultEcnBacklog; negative disables
-	// ECN cuts, leaving timeouts as the only loss signal).
-	WindowEcnBacklog Duration
 
 	// Admission enables server-side admission control: a shard whose
-	// NIC backlog watermark exceeds AdmitBacklog (or whose clients have
-	// AdmitQueue requests queued) is overloaded — new gets defer to
-	// other replica owners or shed outright, and writes shed with a
-	// typed *ErrOverload when too few owners can admit them. Clients
-	// back off on the signal instead of stacking more timeouts onto a
-	// saturated NIC.
+	// NIC backlog watermark exceeds DefaultAdmitBacklog is overloaded —
+	// new gets defer to other replica owners or shed outright, and
+	// writes shed with a typed *ErrOverload when too few owners can
+	// admit them. Clients back off on the signal instead of stacking
+	// more timeouts onto a saturated NIC.
 	Admission bool
-	// AdmitBacklog is the PU backlog watermark above which a shard
-	// stops admitting new requests (0 = DefaultAdmitBacklog).
-	AdmitBacklog Duration
-	// AdmitQueue, when nonzero, also marks a shard overloaded once its
-	// clients' waiting queues hold this many requests in total.
-	AdmitQueue int
 
 	// MigrateEvery is the background migrator's tick period during a
 	// live resharding (AddShard/DrainShard): each tick copies and seals
@@ -189,56 +179,29 @@ type ServiceConfig struct {
 	// MigrateBatch is how many bucket segments one migrator tick starts
 	// (0 = 4).
 	MigrateBatch int
-	// MigrateSegments divides the keyspace (by primary hash bucket,
-	// the anti-entropy sweeper's geometry) into this many segments for
-	// migration sealing: dual-read/dual-write stops per segment as it
-	// seals, not in one global flag flip at the end (0 = 64).
-	MigrateSegments int
 
-	// Tracer, when set, records per-op trace spans through every layer
-	// (service fan-out, client slots, WRs on NIC PUs) for trace-event
-	// JSON export. Nil disables tracing at zero cost.
-	Tracer *telemetry.Tracer
-	// Trace makes the service build its own tracer on its testbed's
-	// engine — the usual way to enable tracing, since the engine does
-	// not exist until NewServiceWith constructs it. Retrieve it with
-	// Tracer() after construction. Ignored when Tracer is already set.
+	// Trace makes the service build a tracer on its testbed's engine,
+	// recording per-op spans through every layer (service fan-out,
+	// client slots, WRs on NIC PUs) for trace-event JSON export.
+	// Retrieve it with Tracer() after construction. Off, tracing costs
+	// nothing.
 	Trace bool
 
 	// Sentinel enables the always-on SLO sentinel + flight recorder
-	// (service_sentinel.go): a bounded ring tracer replaces the
-	// grow-forever tracer (built automatically when neither Tracer nor
-	// Trace is set), registry snapshots land in a fixed metric-sample
-	// ring on an activity-armed tick, and burn-rate SLO rules evaluate
-	// each tick. A firing rule snapshots a deterministic incident
-	// bundle; read them back with Incidents() and Stats().Anomalies.
+	// (service_sentinel.go): a bounded ring tracer of
+	// telemetry.DefaultRingEvents replaces the grow-forever tracer
+	// (built automatically unless Trace is set), registry snapshots
+	// land in a fixed metric-sample ring on a DefaultSentinelEvery
+	// activity-armed tick, and burn-rate SLO rules evaluate each tick.
+	// A firing rule snapshots a deterministic incident bundle (at most
+	// DefaultMaxIncidents are kept); read them back with Incidents()
+	// and Stats().Anomalies.
 	Sentinel bool
-	// SentinelEvery is the sentinel's sample-and-evaluate tick period
-	// (0 = DefaultSentinelEvery). Ticks arm on op activity and disarm
-	// when the metrics stop moving, so an idle service leaves the
-	// engine drainable.
-	SentinelEvery Duration
-	// RecorderEvents sizes the flight-recorder trace-event ring
-	// (0 = telemetry.DefaultRingEvents). Only used when the sentinel
-	// builds its own ring tracer.
-	RecorderEvents int
-	// RecorderSamples sizes the metric-sample ring (0 = enough ticks
-	// to cover the widest rule's slow window, with margin).
-	RecorderSamples int
 	// SentinelRules overrides the rule set (nil = DefaultSLORules()).
 	SentinelRules []telemetry.Rule
-	// MaxIncidents caps retained incident bundles and recorded
-	// anomalies (0 = DefaultMaxIncidents).
-	MaxIncidents int
 	// SlowGetLat is the fleet latency-burn threshold: gets slower than
 	// this count toward the "latency" SLO (0 = DefaultSlowGetLat).
 	SlowGetLat Duration
-	// SentinelDir, when set, writes each incident bundle to
-	// INCIDENT_<seq>_<class>.json in that directory as it fires.
-	SentinelDir string
-	// OnAnomaly, when set, runs on every anomaly right after its
-	// incident bundle is captured.
-	OnAnomaly func(telemetry.Anomaly)
 
 	// Provenance enables per-op latency receipts: every get/set/delete
 	// (and probe) accumulates a fixed-size phase ledger — window wait,
@@ -246,11 +209,10 @@ type ServiceConfig struct {
 	// retry legs — partitioned so the phases sum exactly to the observed
 	// latency. Aggregated per op class into bounded histograms plus a
 	// top-N slowest-receipt heap; read them with Provenance() and
-	// Stats().Provenance. Off, every receipt path is a nil check.
+	// Stats().Provenance; each class keeps its
+	// telemetry.DefaultTailReceipts slowest receipts. Off, every receipt
+	// path is a nil check.
 	Provenance bool
-	// TailReceipts caps the retained slowest receipts per op class
-	// (0 = telemetry.DefaultTailReceipts). Fixed memory.
-	TailReceipts int
 	// Profile enables the virtual-time profiler: every grant on a
 	// server NIC resource (PU, fetch unit, link, PCIe, atomic unit) is
 	// attributed to (op class, shard, resource) with queue-wait and
@@ -272,9 +234,6 @@ func DefaultServiceConfig(nShards, clientsPerShard int) ServiceConfig {
 		Buckets:         1 << 15,
 		MaxValLen:       4096,
 		MissTimeout:     DefaultMissTimeout,
-		VirtualNodes:    shard.DefaultVirtualNodes,
-		ServerMem:       1 << 27,
-		ClientMem:       1 << 23,
 	}
 }
 
@@ -365,42 +324,26 @@ func (sh *serviceShard) suspect(now sim.Time) bool { return now < sh.suspectUnti
 
 // noteOwnerMiss records one unexecuted-chain timeout against sh — the
 // crash symptom, as opposed to an executed miss — and transitions the
-// shard to suspected after SuspectAfter consecutive ones. Every
+// shard to suspected after DefaultSuspectAfter consecutive ones. Every
 // healthy-to-suspected transition increments svc/suspects, the SLO
 // sentinel's crash signal: one transition per suspicion epoch, not one
 // per timeout.
 func (s *Service) noteOwnerMiss(sh *serviceShard) {
 	sh.consecMiss++
-	if sh.consecMiss >= s.cfg.SuspectAfter {
+	if sh.consecMiss >= DefaultSuspectAfter {
 		now := s.tb.Now()
 		if !sh.suspect(now) {
 			s.ctr.Suspects++
 		}
-		sh.suspectUntil = now + s.cfg.SuspectFor
+		sh.suspectUntil = now + DefaultSuspectFor
 	}
 }
 
 // overloaded reports whether admission control should refuse new work
-// on sh: its NIC's PU backlog watermark is past the admission
-// threshold, or (when AdmitQueue is set) its client connections have
-// piled up too many queued requests. Always false with Admission off.
+// on sh: its NIC's PU backlog watermark is past DefaultAdmitBacklog.
+// Always false with Admission off.
 func (s *Service) overloaded(sh *serviceShard) bool {
-	if !s.cfg.Admission {
-		return false
-	}
-	if sh.srv.node.Dev.BacklogWatermark(s.tb.Now()) > sim.Time(s.cfg.AdmitBacklog) {
-		return true
-	}
-	if s.cfg.AdmitQueue > 0 {
-		q := 0
-		for _, cli := range sh.clients {
-			q += cli.PipelineStats(OpGet).Queued
-		}
-		if q >= s.cfg.AdmitQueue {
-			return true
-		}
-	}
-	return false
+	return s.cfg.Admission && sh.srv.node.Dev.BacklogWatermark(s.tb.Now()) > sim.Time(DefaultAdmitBacklog)
 }
 
 // Service is a sharded key-value service served entirely by NICs: a
@@ -635,21 +578,6 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	if cfg.MissTimeout == 0 {
 		cfg.MissTimeout = def.MissTimeout
 	}
-	if cfg.VirtualNodes == 0 {
-		cfg.VirtualNodes = def.VirtualNodes
-	}
-	if cfg.ServerMem == 0 {
-		cfg.ServerMem = def.ServerMem
-	}
-	if cfg.ClientMem == 0 {
-		cfg.ClientMem = def.ClientMem
-	}
-	if cfg.SuspectAfter == 0 {
-		cfg.SuspectAfter = DefaultSuspectAfter
-	}
-	if cfg.SuspectFor == 0 {
-		cfg.SuspectFor = DefaultSuspectFor
-	}
 	if cfg.HotKeyTrack == 0 && (cfg.ReadPolicy == ReadHotSpread || cfg.HotKeyCache > 0) {
 		cfg.HotKeyTrack = shard.DefaultHotKeys
 	}
@@ -671,48 +599,29 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	if cfg.AntiEntropySegments == 0 {
 		cfg.AntiEntropySegments = DefaultAntiEntropySegments
 	}
-	if cfg.AdmitBacklog == 0 {
-		cfg.AdmitBacklog = DefaultAdmitBacklog
-	}
-	if cfg.AdaptiveWindow && cfg.WindowStart == 0 {
-		cfg.WindowStart = 16
-	}
 	if cfg.MigrateEvery == 0 {
 		cfg.MigrateEvery = DefaultMigrateEvery
 	}
 	if cfg.MigrateBatch < 1 {
 		cfg.MigrateBatch = DefaultMigrateBatch
 	}
-	if cfg.MigrateSegments < 1 {
-		cfg.MigrateSegments = DefaultMigrateSegments
-	}
-	if cfg.WindowStart > cfg.Pipeline {
-		cfg.WindowStart = cfg.Pipeline
-	}
-	if cfg.SentinelEvery == 0 {
-		cfg.SentinelEvery = DefaultSentinelEvery
-	}
 	if cfg.SlowGetLat == 0 {
 		cfg.SlowGetLat = DefaultSlowGetLat
 	}
-	if cfg.MaxIncidents == 0 {
-		cfg.MaxIncidents = DefaultMaxIncidents
-	}
 
-	s := &Service{cfg: cfg, tb: NewTestbed(), ring: shard.NewRing(cfg.VirtualNodes),
+	s := &Service{cfg: cfg, tb: NewTestbed(), ring: shard.NewRing(shard.DefaultVirtualNodes),
 		shards: make(map[string]*serviceShard), nextSeq: make(map[uint64]uint64),
-		unsettled: make(map[uint64]int), repq: repair.NewQueue(), tr: cfg.Tracer}
-	if cfg.Trace && s.tr == nil {
+		unsettled: make(map[uint64]int), repq: repair.NewQueue()}
+	if cfg.Trace {
 		s.tr = telemetry.NewTracer(s.tb.clu.Eng)
-	}
-	if cfg.Sentinel && s.tr == nil {
+	} else if cfg.Sentinel {
 		// Free-by-default tracing: the sentinel's trace window is a
 		// fixed-memory ring, so it runs permanently without the
 		// grow-forever cost that made full tracing opt-in.
-		s.tr = telemetry.NewRingTracer(s.tb.clu.Eng, cfg.RecorderEvents)
+		s.tr = telemetry.NewRingTracer(s.tb.clu.Eng, telemetry.DefaultRingEvents)
 	}
 	if cfg.Provenance {
-		s.prov = telemetry.NewProvenance(cfg.TailReceipts)
+		s.prov = telemetry.NewProvenance(telemetry.DefaultTailReceipts)
 	}
 	if cfg.Profile {
 		s.profiler = telemetry.NewProfiler()
@@ -744,7 +653,7 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 func (s *Service) buildShard(id string) *serviceShard {
 	cfg := s.cfg
 	nc := fabric.DefaultNodeConfig(id)
-	nc.MemSize = cfg.ServerMem
+	nc.MemSize = serverMemSize
 	node := s.tb.clu.AddNode(nc)
 	node.Dev.SetTracer(s.tr)
 	if s.profiler != nil {
@@ -762,7 +671,7 @@ func (s *Service) buildShard(id string) *serviceShard {
 	sh.initMetrics(s.reg)
 	for c := 0; c < cfg.ClientsPerShard; c++ {
 		cc := fabric.DefaultNodeConfig(fmt.Sprintf("%s-client%d", id, c))
-		cc.MemSize = cfg.ClientMem
+		cc.MemSize = clientMemSize
 		cn := s.tb.clu.AddNode(cc)
 		cn.Dev.SetTracer(s.tr)
 		sh.cnodes = append(sh.cnodes, cn)
@@ -789,8 +698,7 @@ func (s *Service) newShardClient(sh *serviceShard, cn *fabric.Node) *Client {
 		})
 	}
 	if s.cfg.AdaptiveWindow {
-		cli.ConfigureWindow(WindowConfig{Adaptive: true, Start: s.cfg.WindowStart,
-			Beta: s.cfg.WindowBeta, EcnBacklog: s.cfg.WindowEcnBacklog})
+		cli.ConfigureWindow(WindowConfig{Adaptive: true, Start: adaptiveWindowStart})
 	}
 	return cli
 }
@@ -1052,21 +960,9 @@ func (s *Service) readOrder(key uint64) []*serviceShard {
 	// Dual-read during a resharding: a key whose bucket segment has not
 	// sealed may still live only at its pre-change owners — append them
 	// as last-resort attempts so no get goes dark mid-migration.
-	if m := s.mig; m != nil && m.keyUnsealed(key) {
-		for _, id := range m.oldOwners(key) {
-			dup := false
-			for _, have := range ids {
-				if have == id {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			if osh, ok := s.shards[id]; ok {
-				shs = append(shs, osh)
-			}
+	if s.mig != nil && s.mig.keyUnsealed(key) {
+		for _, id := range s.preChangeOwners(ids, key) {
+			shs = append(shs, s.shards[id])
 		}
 	}
 	return shs

@@ -1,7 +1,9 @@
 package redn
 
 import (
-	"sort"
+	"iter"
+	"maps"
+	"slices"
 
 	"repro/internal/hopscotch"
 	"repro/internal/repair"
@@ -33,12 +35,13 @@ import (
 //     the host nothing at all.
 //
 //  2. The repair queue (repairTick/applyRepair): pending records,
-//     activity-armed on RepairEvery ticks. Applying a record re-derives
-//     the winning state among the key's owners at apply time — newest
-//     version wins, value or tombstone — and rolls the laggard FORWARD
-//     through the ordinary owner write path (fabric claim chain or host
-//     RPC, modeled cost and all), never backward: a record is a claim
-//     that someone lags, not a payload. Unreachable or still-rejecting
+//     activity-armed on RepairEvery ticks. Applying a record hands the
+//     owner to rollForward (shared with the resharding migrator), which
+//     re-derives the winning state among the key's owners at apply time
+//     — newest version wins, value or tombstone — and rolls the laggard
+//     FORWARD through the ordinary owner write path (fabric claim chain
+//     or host RPC, modeled cost and all), never backward: a record is a
+//     claim that someone lags, not a payload. Unreachable or still-rejecting
 //     owners retry under exponential backoff, bounded by
 //     RepairMaxAttempts so a permanently full owner cannot spin the
 //     queue (a later sweep or probe re-enqueues when the world
@@ -151,6 +154,21 @@ func (s *Service) winningState(key uint64) (ver uint64, del bool, winner *servic
 	return ver, del, winner, ok
 }
 
+// laggards yields key's current owners whose newest state is older
+// than winVer, or who hold none at all. An iterator rather than a
+// slice, so StaleOwners — run per get by kvbench's correctness check —
+// counts without allocating.
+func (s *Service) laggards(key, winVer uint64) iter.Seq[*serviceShard] {
+	return func(yield func(*serviceShard) bool) {
+		for _, id := range s.owners(key) {
+			sh := s.shards[id]
+			if v, _, has := s.ownerState(sh, key); (!has || v < winVer) && !yield(sh) {
+				return
+			}
+		}
+	}
+}
+
 // StaleOwners reports how many (owner, key) replicas across keys lag
 // the newest version any owner holds — the divergence metric the
 // repair experiment tracks over time. Zero means every replica of
@@ -159,12 +177,8 @@ func (s *Service) StaleOwners(keys []uint64) int {
 	stale := 0
 	for _, key := range keys {
 		key &= hopscotch.KeyMask
-		winVer, _, _, ok := s.winningState(key)
-		if !ok || winVer == 0 {
-			continue
-		}
-		for _, id := range s.owners(key) {
-			if v, _, has := s.ownerState(s.shards[id], key); !has || v < winVer {
+		if winVer, _, _, ok := s.winningState(key); ok && winVer > 0 {
+			for range s.laggards(key, winVer) {
 				stale++
 			}
 		}
@@ -185,12 +199,7 @@ func (s *Service) DropHints() int {
 		if len(sh.hints) == 0 {
 			continue
 		}
-		keys := make([]uint64, 0, len(sh.hints))
-		for k := range sh.hints {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
+		for _, k := range slices.Sorted(maps.Keys(sh.hints)) {
 			h := sh.hints[k]
 			delete(sh.hints, k)
 			sh.ctr.HintsDropped++
@@ -293,15 +302,18 @@ func (s *Service) scheduleSkewRepair(key uint64) {
 	if s.unsettled[key] > 0 {
 		return
 	}
+	s.repairLaggards(key)
+}
+
+// repairLaggards queues a repair record for every owner of key lagging
+// its winning version.
+func (s *Service) repairLaggards(key uint64) {
 	winVer, _, _, ok := s.winningState(key)
 	if !ok || winVer == 0 {
 		return
 	}
-	for _, id := range s.owners(key) {
-		sh := s.shards[id]
-		if v, _, has := s.ownerState(sh, key); !has || v < winVer {
-			s.queueRepair(sh, key, winVer)
-		}
+	for sh := range s.laggards(key, winVer) {
+		s.queueRepair(sh, key, winVer)
 	}
 }
 
@@ -367,73 +379,99 @@ func (s *Service) requeueRepair(sh *serviceShard, r *repair.Record) {
 	s.armRepair()
 }
 
-// applyRepair rolls one owner forward to the winning state of its key.
-// The winning state is re-derived under the owner's per-key write slot
-// — not from the record — so a repair can never undo a write that
-// landed while the record was queued: roll forward, never roll back.
-func (s *Service) applyRepair(r *repair.Record) {
-	sh, ok := s.shards[r.Owner]
-	if !ok {
-		return
-	}
-	key := r.Key
-	if s.unsettled[key] > 0 {
-		// A write is in flight: its own fan-out converges the owners
-		// (or queues hints/repairs of its own). Try again later.
-		s.requeueRepair(sh, r)
-		return
-	}
+// rollOutcome is how one roll-forward ended.
+type rollOutcome int
+
+const (
+	rollCaughtUp rollOutcome = iota // the owner already held the winning state
+	rollApplied                     // the winning state was written to the owner
+	rollFailed                      // the owner write did not land; retry later
+)
+
+// rollForward converges one owner onto the winning state of key — the
+// single convergence step repair and live resharding share. The
+// winning state is re-derived under the owner's per-key write slot,
+// not taken from the caller, so a roll-forward can never undo a write
+// that landed while it was queued: forward, never back. The winning
+// value or tombstone goes through the ordinary owner write path at
+// modeled fabric cost. The slot is released before done runs: a report
+// can finish a migration, whose hint redirection drains into owner
+// slots.
+func (s *Service) rollForward(sh *serviceShard, key uint64, done func(rollOutcome)) {
 	s.withKeySlot(sh, key, func() {
 		winVer, winDel, winner, has := s.winningState(key)
 		cur, _, curOK := s.ownerState(sh, key)
 		if !has || winVer == 0 || (curOK && cur >= winVer) {
-			// Nothing to do: the owner caught up (a newer write, a
-			// drained hint, or an earlier repair landed first).
-			sh.ctr.RepairsSuperseded++
+			// Caught up while queued: a newer write, a drained hint, a
+			// dual write or an earlier roll-forward landed first.
 			s.setNext(sh, key)
+			done(rollCaughtUp)
 			return
 		}
 		finish := func(st ownerWriteStatus) {
-			switch st {
-			case ownerApplied:
-				sh.ctr.RepairsApplied++
+			o := rollFailed
+			if st == ownerApplied {
+				o = rollApplied
 				s.noteOwnerApplied(sh, winDel, key, winVer)
 				s.dropHint(sh, key, winVer)
-				// Satellite fix: a value cached from the stale owner
-				// before this repair (legal while the write settled)
-				// must not outlive convergence — bump the epoch so
-				// in-flight gets cannot re-admit it either.
+				// A value cached from the stale owner (legal while the
+				// write settled) must not outlive convergence: bump the
+				// epoch so in-flight gets cannot re-admit it either.
 				if s.cache != nil {
 					s.setEpoch[key]++
 					delete(s.cache, key)
 				}
-			default:
-				s.requeueRepair(sh, r)
 			}
 			s.setNext(sh, key)
+			done(o)
 		}
 		if winDel {
 			s.ownerWriteNow(sh, OpDelete, key, nil, winVer, 0, finish)
 			return
 		}
-		// Capture the winning bytes under the slot: the winner's table
-		// cannot be repointed for this key while we hold it only if the
-		// winner IS this shard — for cross-owner reads the unsettled
-		// check above keeps writes out, and compaction relocations
-		// preserve bytes.
+		// Read the winning bytes in the same instant as the derivation:
+		// nothing can repoint the winner's bucket in between.
 		va, vl, liveOK := winner.table.table.Lookup(key)
 		if !liveOK {
-			sh.ctr.RepairsSuperseded++
+			// The winner's copy vanished under us (a racing delete whose
+			// tombstone wins the next derivation). Not a failure.
 			s.setNext(sh, key)
+			done(rollCaughtUp)
 			return
 		}
 		val, err := winner.srv.node.Mem.Read(va, vl)
 		if err != nil {
-			s.requeueRepair(sh, r)
 			s.setNext(sh, key)
+			done(rollFailed)
 			return
 		}
 		s.ownerWriteNow(sh, OpSet, key, val, winVer, 0, finish)
+	})
+}
+
+// applyRepair rolls one owner forward to the winning state of its key.
+// A record is a claim that someone lags, not a payload: rollForward
+// re-derives the target when the owner's slot frees.
+func (s *Service) applyRepair(r *repair.Record) {
+	sh, ok := s.shards[r.Owner]
+	if !ok {
+		return
+	}
+	if s.unsettled[r.Key] > 0 {
+		// A write is in flight: its own fan-out converges the owners
+		// (or queues hints/repairs of its own). Try again later.
+		s.requeueRepair(sh, r)
+		return
+	}
+	s.rollForward(sh, r.Key, func(o rollOutcome) {
+		switch o {
+		case rollCaughtUp:
+			sh.ctr.RepairsSuperseded++
+		case rollApplied:
+			sh.ctr.RepairsApplied++
+		default:
+			s.requeueRepair(sh, r)
+		}
 	})
 }
 
@@ -549,12 +587,7 @@ func (s *Service) sweepShard(sh *serviceShard) {
 		for g := range digB {
 			segSet[g] = struct{}{}
 		}
-		ordered := make([]uint64, 0, len(segSet))
-		for g := range segSet {
-			ordered = append(ordered, g)
-		}
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-		for _, g := range ordered {
+		for _, g := range slices.Sorted(maps.Keys(segSet)) {
 			segsCompared++
 			if digA[g] == digB[g] {
 				continue

@@ -3,7 +3,8 @@ package redn
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/hopscotch"
 	"repro/internal/shard"
@@ -25,12 +26,13 @@ import (
 //
 //   - A background migrator. Moving keys are binned into bucket
 //     segments (the anti-entropy sweeper's geometry: the key's primary
-//     hash bucket divided into MigrateSegments ranges — identical on
-//     every shard). Each MigrateEvery tick copies a batch of segments:
-//     for each moving key the winning state — newest version across
-//     old AND new owners, value or tombstone — is written to every
-//     lagging post-change owner through the ordinary owner write path,
-//     i.e. the same core.SetOffload claim chains and host RPC
+//     hash bucket divided into DefaultMigrateSegments ranges —
+//     identical on every shard). Each MigrateEvery tick copies a batch
+//     of segments: for each moving key the winning state — newest
+//     version across old AND new owners, value or tombstone — is rolled
+//     onto every lagging post-change owner by rollForward, the repair
+//     queue's own convergence step, through the ordinary owner write
+//     path, i.e. the same core.SetOffload claim chains and host RPC
 //     fallbacks every client write pays. Migration traffic has real
 //     modeled fabric cost; nothing teleports.
 //
@@ -167,12 +169,20 @@ func (s *Service) draining(id string) bool {
 
 // isOwner reports whether id is one of key's current replica owners.
 func (s *Service) isOwner(id string, key uint64) bool {
-	for _, o := range s.owners(key) {
-		if o == id {
-			return true
+	return slices.Contains(s.owners(key), id)
+}
+
+// preChangeOwners returns key's pre-change owners that are not in cur
+// and are still in the service: the shards that may hold a moving key's
+// newest state. Call only during a migration.
+func (s *Service) preChangeOwners(cur []string, key uint64) []string {
+	var out []string
+	for _, id := range s.mig.oldOwners(key) {
+		if _, ok := s.shards[id]; ok && !slices.Contains(cur, id) {
+			out = append(out, id)
 		}
 	}
-	return false
+	return out
 }
 
 // stateOwners is the owner set repair comparisons run over: the
@@ -181,27 +191,10 @@ func (s *Service) isOwner(id string, key uint64) bool {
 // state.
 func (s *Service) stateOwners(key uint64) []string {
 	ids := s.owners(key)
-	m := s.mig
-	if m == nil {
+	if s.mig == nil {
 		return ids
 	}
-	out := append([]string(nil), ids...)
-	for _, id := range m.oldOwners(key) {
-		dup := false
-		for _, have := range out {
-			if have == id {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if _, ok := s.shards[id]; ok {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.Concat(ids, s.preChangeOwners(ids, key))
 }
 
 // dualWriteExtras returns the pre-change owners a write must still
@@ -209,27 +202,10 @@ func (s *Service) stateOwners(key uint64) []string {
 // legs: counted for settlement only, never toward the quorum — the
 // post-change owners alone decide the write's fate.
 func (s *Service) dualWriteExtras(cur []string, key uint64) []string {
-	m := s.mig
-	if m == nil || !m.keyUnsealed(key) {
+	if s.mig == nil || !s.mig.keyUnsealed(key) {
 		return nil
 	}
-	var extra []string
-	for _, id := range m.oldOwners(key) {
-		dup := false
-		for _, have := range cur {
-			if have == id {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if _, ok := s.shards[id]; ok {
-			extra = append(extra, id)
-		}
-	}
-	return extra
+	return s.preChangeOwners(cur, key)
 }
 
 // redirectTarget picks the shard a hint bound for from should go to
@@ -314,7 +290,7 @@ func (s *Service) startMigration(old *shard.Ring, target string, join bool) {
 	s.migEpoch++
 	geom := s.order[0].table.table
 	n := geom.NumBuckets()
-	segs := uint64(s.cfg.MigrateSegments)
+	segs := uint64(DefaultMigrateSegments)
 	m := &migration{epoch: s.migEpoch, join: join, target: target, oldRing: old,
 		replicas: s.cfg.Replicas, started: s.tb.Now(), geom: geom,
 		segW:    (n + segs - 1) / segs,
@@ -344,20 +320,14 @@ func (s *Service) startMigration(old *shard.Ring, target string, join bool) {
 		// Tombstone-only state moves too: a key deleted at seq v must
 		// arrive at its new owners AS deleted, or a stale replica could
 		// resurrect it after the old tombstone holder leaves.
-		tks := make([]uint64, 0, len(sh.tombVer))
-		for k := range sh.tombVer {
-			tks = append(tks, k)
-		}
-		sort.Slice(tks, func(i, j int) bool { return tks[i] < tks[j] })
-		for _, k := range tks {
+		for _, k := range slices.Sorted(maps.Keys(sh.tombVer)) {
 			collect(k)
 		}
 	}
-	for seg, keys := range m.segKeys {
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		m.pending = append(m.pending, seg)
+	for _, keys := range m.segKeys {
+		slices.Sort(keys)
 	}
-	sort.Slice(m.pending, func(i, j int) bool { return m.pending[i] < m.pending[j] })
+	m.pending = slices.Sorted(maps.Keys(m.segKeys))
 	m.liveSegs = len(m.pending)
 	s.mig = m
 	// Routing changed under every in-flight get: nothing read under the
@@ -382,14 +352,7 @@ func (s *Service) ownershipChanged(m *migration, key uint64) bool {
 		return true
 	}
 	for _, id := range newIDs {
-		found := false
-		for _, o := range oldIDs {
-			if o == id {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(oldIDs, id) {
 			return true
 		}
 	}
@@ -448,11 +411,11 @@ func (s *Service) migrateSegment(m *migration, seg uint64) {
 }
 
 // migrateKey converges one moving key onto its post-change owners:
-// the winning state (newest version across old and new owners, value
-// or tombstone) is copied to every new owner that lacks it. Transient
-// failures retry up to migrateMaxAttempts; after that the key is
-// handed to the repair queue — the convergence safety net, which keeps
-// retrying under backoff long after the segment seals.
+// every new owner lagging the winning state (newest version across old
+// and new owners, value or tombstone) is rolled forward to it.
+// Transient failures retry up to migrateMaxAttempts; after that the key
+// is handed to the repair queue — the convergence safety net, which
+// keeps retrying under backoff long after the segment seals.
 func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func()) {
 	if s.mig != m {
 		done()
@@ -462,20 +425,11 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 	// wedged on a hint queued before the ownership change. Dual-write
 	// only covers ops issued after the migration started; older fan-outs
 	// never targeted the replacement owners, so the copy must proceed.
-	// That is safe: migrateCopy re-derives the winning state under the
+	// That is safe: rollForward re-derives the winning state under the
 	// owner's per-key slot and never rolls a replica backward.
-	winVer, _, _, has := s.winningState(key)
-	if !has || winVer == 0 {
-		s.ctr.MigKeysSkipped++
-		done()
-		return
-	}
 	var lagging []*serviceShard
-	for _, id := range s.owners(key) {
-		sh := s.shards[id]
-		if v, _, hasV := s.ownerState(sh, key); !hasV || v < winVer {
-			lagging = append(lagging, sh)
-		}
+	if winVer, _, _, has := s.winningState(key); has && winVer > 0 {
+		lagging = slices.Collect(s.laggards(key, winVer))
 	}
 	if len(lagging) == 0 {
 		s.ctr.MigKeysSkipped++
@@ -484,18 +438,17 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 	}
 	left := len(lagging)
 	failed := false
-	sub := func(ok bool) {
-		if !ok {
+	sub := func(o rollOutcome) {
+		switch o {
+		case rollApplied:
+			s.ctr.MigKeysMoved++
+		case rollFailed:
 			failed = true
 		}
 		if left--; left > 0 {
 			return
 		}
-		if !failed {
-			done()
-			return
-		}
-		if attempt+1 < migrateMaxAttempts {
+		if failed && attempt+1 < migrateMaxAttempts {
 			// Transient trouble (a suspect window, a racing relocation):
 			// retry the whole key after a tick.
 			s.tb.clu.Eng.After(s.cfg.MigrateEvery, func() {
@@ -503,74 +456,15 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 			})
 			return
 		}
-		s.ctr.MigCopyFails++
-		if wv, _, _, ok := s.winningState(key); ok && wv > 0 {
-			for _, id := range s.owners(key) {
-				sh := s.shards[id]
-				if v, _, hasV := s.ownerState(sh, key); !hasV || v < wv {
-					s.queueRepair(sh, key, wv)
-				}
-			}
+		if failed {
+			s.ctr.MigCopyFails++
+			s.repairLaggards(key)
 		}
 		done()
 	}
 	for _, sh := range lagging {
-		s.migrateCopy(key, sh, sub)
+		s.rollForward(sh, key, sub)
 	}
-}
-
-// migrateCopy rolls one post-change owner forward to its key's winning
-// state, through the ordinary owner write path at modeled fabric cost.
-// The winning state is re-derived under the owner's per-key write slot
-// — exactly applyRepair's discipline — so a copy can never undo a
-// dual write that landed while it was queued: forward, never back.
-func (s *Service) migrateCopy(key uint64, sh *serviceShard, done func(ok bool)) {
-	s.withKeySlot(sh, key, func() {
-		winVer, winDel, winner, has := s.winningState(key)
-		cur, _, curOK := s.ownerState(sh, key)
-		if !has || winVer == 0 || (curOK && cur >= winVer) {
-			// Caught up while queued: a dual write, a drained hint, or a
-			// repair landed first.
-			s.setNext(sh, key)
-			done(true)
-			return
-		}
-		finish := func(st ownerWriteStatus) {
-			ok := st == ownerApplied
-			if ok {
-				s.ctr.MigKeysMoved++
-				s.noteOwnerApplied(sh, winDel, key, winVer)
-				s.dropHint(sh, key, winVer)
-				// A value cached from a pre-change owner must not outlive
-				// the move.
-				if s.cache != nil {
-					s.setEpoch[key]++
-					delete(s.cache, key)
-				}
-			}
-			s.setNext(sh, key)
-			done(ok)
-		}
-		if winDel {
-			s.ownerWriteNow(sh, OpDelete, key, nil, winVer, 0, finish)
-			return
-		}
-		va, vl, liveOK := winner.table.table.Lookup(key)
-		if !liveOK {
-			// The winner's copy vanished under us (a racing delete whose
-			// tombstone will win the next derivation). Not a failure.
-			s.setNext(sh, key)
-			done(true)
-			return
-		}
-		val, err := winner.srv.node.Mem.Read(va, vl)
-		if err != nil {
-			s.setNext(sh, key)
-			done(false)
-			return
-		}
-		s.ownerWriteNow(sh, OpSet, key, val, winVer, 0, finish)
-	})
 }
 
 // sealSegment closes one bucket segment: every moving key in it has
@@ -596,14 +490,7 @@ func (s *Service) sealSegment(m *migration, seg uint64) {
 			if !m.join && sh.id == m.target {
 				continue
 			}
-			isCur := false
-			for _, id := range owners {
-				if id == sh.id {
-					isCur = true
-					break
-				}
-			}
-			if isCur {
+			if slices.Contains(owners, sh.id) {
 				continue
 			}
 			if _, busy := sh.inflightSet[key]; busy {
@@ -658,13 +545,8 @@ func (s *Service) redirectHints(from *serviceShard) {
 	if len(from.hints) == 0 {
 		return
 	}
-	keys := make([]uint64, 0, len(from.hints))
-	for k := range from.hints {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	touched := make(map[string]bool)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(from.hints)) {
 		h := from.hints[k]
 		delete(from.hints, k)
 		to := s.redirectTarget(k, from)

@@ -3,7 +3,8 @@ package redn
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hopscotch"
@@ -755,12 +756,7 @@ func (s *Service) drainHints(sh *serviceShard) {
 	if len(sh.hints) == 0 {
 		return
 	}
-	keys := make([]uint64, 0, len(sh.hints))
-	for k := range sh.hints {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(sh.hints)) {
 		s.drainHint(sh, k)
 	}
 }
